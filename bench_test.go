@@ -137,13 +137,15 @@ func BenchmarkDomainSwitch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	n := b.N
-	for d, name := range map[int]string{0: "a", 1: "b"} {
-		if _, err := sys.Spawn(d, name, 0, func(c *UserCtx) {
-			for i := 0; i < n; i++ {
-				c.Compute(400)
+	for d, name := range []string{"a", "b"} {
+		i := 0
+		if _, err := sys.SpawnProgram(d, name, 0, ProgramFunc(func(m *Machine) ProgramStatus {
+			if i == b.N {
+				return Done
 			}
-		}); err != nil {
+			i++
+			return m.Compute(400)
+		})); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -91,7 +91,7 @@ func main() {
 	logf("listening on http://%s (store %s, %s backend)", ln.Addr(), sf.Dir, sf.Backend)
 	logf("engine %s", experiment.Fingerprint())
 
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: serve.ReadHeaderTimeout}
 	done := make(chan error, 1)
 	go func() { done <- hs.Serve(ln) }()
 

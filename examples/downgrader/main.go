@@ -42,45 +42,76 @@ func runScenario(prot timeprot.Config, minDelivery uint64, secrets []int) []pair
 		log.Fatal(err)
 	}
 
+	// Each program is a step function: every call issues one
+	// operation and sees the previous one's result (Value, Time).
+
 	// Web server (Hi): produces the plaintext secrets.
-	if _, err := sys.Spawn(0, "web", 0, func(c *timeprot.UserCtx) {
-		for _, s := range secrets {
-			c.Compute(1_000)
-			c.Send(0, uint64(s))
+	sent := 0
+	web := timeprot.ProgramFunc(func(m *timeprot.Machine) timeprot.ProgramStatus {
+		if sent == 2*len(secrets) {
+			return timeprot.Done
 		}
-	}); err != nil {
-		log.Fatal(err)
-	}
+		sent++
+		if sent%2 == 1 {
+			return m.Compute(1_000)
+		}
+		return m.Send(0, uint64(secrets[sent/2-1]))
+	})
 
 	// Encryption component (Hi): per message, "encryption" whose run
 	// time depends on the secret — an algorithmic channel — then
 	// publish the ciphertext to the network stack.
-	if _, err := sys.Spawn(1, "crypto", 0, func(c *timeprot.UserCtx) {
-		for range secrets {
-			s, _ := c.Recv(0)
-			work := 8_000 + s*12_000
-			for done := uint64(0); done < work; done += 500 {
-				c.Compute(500)
+	var secret, work uint64 // the message in hand, its remaining work
+	handled, phase := 0, 0  // phase: 0 receive, 1 arrived, 2 encrypt
+	crypto := timeprot.ProgramFunc(func(m *timeprot.Machine) timeprot.ProgramStatus {
+		switch phase {
+		case 0:
+			if handled == len(secrets) {
+				return timeprot.Done
 			}
-			c.Send(1, s) // "ciphertext": payload is ground truth only
+			phase = 1
+			return m.Recv(0)
+		case 1:
+			secret = m.Value()
+			work = 8_000 + secret*12_000
+			phase = 2
 		}
-	}); err != nil {
-		log.Fatal(err)
-	}
+		if work > 0 {
+			work -= min(work, 500)
+			return m.Compute(500)
+		}
+		phase = 0
+		handled++
+		return m.Send(1, secret) // "ciphertext": payload is ground truth only
+	})
 
 	// Network stack (Lo): receive each ciphertext and timestamp it.
 	var out []pair
-	if _, err := sys.Spawn(2, "net", 0, func(c *timeprot.UserCtx) {
-		prev := uint64(0)
-		for range secrets {
-			v, at := c.Recv(1)
+	var prev uint64
+	received := 0
+	net := timeprot.ProgramFunc(func(m *timeprot.Machine) timeprot.ProgramStatus {
+		if received > 0 {
+			at := m.Time()
 			if prev != 0 {
-				out = append(out, pair{secret: int(v), delta: at - prev})
+				out = append(out, pair{secret: int(m.Value()), delta: at - prev})
 			}
 			prev = at
 		}
-	}); err != nil {
-		log.Fatal(err)
+		if received == len(secrets) {
+			return timeprot.Done
+		}
+		received++
+		return m.Recv(1)
+	})
+
+	threads := []struct {
+		name string
+		prog timeprot.Program
+	}{{"web", web}, {"crypto", crypto}, {"net", net}}
+	for d, th := range threads { // one thread per domain, in order
+		if _, err := sys.SpawnProgram(d, th.name, 0, th.prog); err != nil {
+			log.Fatal(err)
+		}
 	}
 
 	if _, err := sys.Run(); err != nil {

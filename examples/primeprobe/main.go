@@ -41,62 +41,53 @@ func run(prot timeprot.Config) []int {
 		log.Fatal(err)
 	}
 
-	// spin burns the rest of a slice without touching the data cache.
-	spin := func(c *timeprot.UserCtx, e uint64) uint64 {
-		for {
-			if n := c.Epoch(); n != e {
-				return n
-			}
-			c.Compute(180)
-		}
-	}
+	// Each program is a sequence of phases — heap-read sweeps and
+	// spins to the next slice — built up front and run by seq.
 
 	// Trojan: per slice, fill every way of every set in group m. The
 	// first slice is left idle so the spy's initial prime lands before
 	// the first symbol.
-	if _, err := sys.Spawn(0, "trojan", 0, func(c *timeprot.UserCtx) {
-		e := c.Epoch()
-		e = spin(c, e)
-		for _, m := range message {
-			for pg := 0; pg < 8; pg++ { // 8 ways
-				for s := 0; s < setsPerGroup; s++ {
-					set := m*setsPerGroup + s
-					c.ReadHeap(uint64(pg*pageBytes + set*lineBytes))
-				}
-			}
-			e = spin(c, e)
-		}
-	}); err != nil {
+	var trojanEpoch uint64
+	trojan := []timeprot.Program{spin(&trojanEpoch, true)}
+	for _, m := range message {
+		trojan = append(trojan, reads(8*setsPerGroup, func(i int) int { // 8 ways
+			pg, set := i/setsPerGroup, m*setsPerGroup+i%setsPerGroup
+			return pg*pageBytes + set*lineBytes
+		}, nil), spin(&trojanEpoch, false))
+	}
+	if _, err := sys.SpawnProgram(0, "trojan", 0, seq(trojan...)); err != nil {
 		log.Fatal(err)
 	}
 
 	// Spy: probe all groups at slice start; slowest group = symbol.
 	var decoded []int
-	if _, err := sys.Spawn(1, "spy", 0, func(c *timeprot.UserCtx) {
-		probe := func() int {
-			best, bestLat := 0, uint64(0)
-			for g := 0; g < groups; g++ {
-				var lat uint64
-				for pg := 0; pg < 2; pg++ { // prime 2 ways
-					for s := 0; s < setsPerGroup; s++ {
-						set := g*setsPerGroup + s
-						lat += c.ReadHeap(uint64(pg*pageBytes + set*lineBytes))
-					}
-				}
-				if lat > bestLat {
-					bestLat, best = lat, g
-				}
+	probe := func(decode bool) timeprot.Program {
+		const perGroup = 2 * setsPerGroup // prime 2 ways
+		var lat, bestLat uint64
+		best := 0
+		return reads(groups*perGroup, func(i int) int {
+			g, pg, s := i/perGroup, i%perGroup/setsPerGroup, i%setsPerGroup
+			return pg*pageBytes + (g*setsPerGroup+s)*lineBytes
+		}, func(i int, cycles uint64) {
+			lat += cycles
+			if (i+1)%perGroup != 0 {
+				return
 			}
-			return best
-		}
-		probe() // initial prime
-		e := c.Epoch()
-		e = spin(c, e)
-		for range message {
-			decoded = append(decoded, probe())
-			e = spin(c, e)
-		}
-	}); err != nil {
+			if lat > bestLat {
+				bestLat, best = lat, i/perGroup
+			}
+			lat = 0
+			if i+1 == groups*perGroup && decode {
+				decoded = append(decoded, best)
+			}
+		})
+	}
+	var spyEpoch uint64
+	spy := []timeprot.Program{probe(false), spin(&spyEpoch, true)} // initial prime
+	for range message {
+		spy = append(spy, probe(true), spin(&spyEpoch, false))
+	}
+	if _, err := sys.SpawnProgram(1, "spy", 0, seq(spy...)); err != nil {
 		log.Fatal(err)
 	}
 
@@ -104,6 +95,58 @@ func run(prot timeprot.Config) []int {
 		log.Fatal(err)
 	}
 	return decoded
+}
+
+// seq runs programs one after another as a single program.
+func seq(ps ...timeprot.Program) timeprot.Program {
+	return timeprot.ProgramFunc(func(m *timeprot.Machine) timeprot.ProgramStatus {
+		for ; len(ps) > 0; ps = ps[1:] {
+			if ps[0].Step(m) == timeprot.Running {
+				return timeprot.Running
+			}
+		}
+		return timeprot.Done
+	})
+}
+
+// reads is a program of n heap reads, the i-th at byte offset off(i);
+// a non-nil lat receives each read's latency.
+func reads(n int, off func(i int) int, lat func(i int, cycles uint64)) timeprot.Program {
+	i := 0
+	return timeprot.ProgramFunc(func(m *timeprot.Machine) timeprot.ProgramStatus {
+		if i > 0 && lat != nil {
+			lat(i-1, m.Latency())
+		}
+		if i == n {
+			return timeprot.Done
+		}
+		i++
+		return m.ReadHeap(uint64(off(i - 1)))
+	})
+}
+
+// spin burns the rest of a slice without touching the data cache: it
+// polls the slice counter, computing between polls, until the counter
+// moves past *epoch, and stores the new value there. With first set,
+// an initial poll reads the current slice into *epoch.
+func spin(epoch *uint64, first bool) timeprot.Program {
+	polled := false
+	return timeprot.ProgramFunc(func(m *timeprot.Machine) timeprot.ProgramStatus {
+		if !polled {
+			polled = true
+			return m.Epoch()
+		}
+		switch e := m.Value(); {
+		case first:
+			first, *epoch = false, e
+			return m.Epoch()
+		case e != *epoch:
+			*epoch = e
+			return timeprot.Done
+		}
+		polled = false
+		return m.Compute(180)
+	})
 }
 
 func score(dec []int) int {

@@ -33,31 +33,51 @@ func main() {
 	// Install the flush-invariant monitor before running.
 	fm := timeprot.NewFlushMonitor(sys)
 
+	// A program is a step function: each call issues one operation
+	// and sees the previous one's result, so loops become counters.
+
 	// Hi: a busy secret-processing workload with phase-varying cache
-	// dirtiness (the padded switch must hide the variation).
-	if _, err := sys.Spawn(0, "hi-worker", 0, func(c *timeprot.UserCtx) {
-		for round := uint64(0); round < 24; round++ {
-			n := 20 + (round%4)*200
-			for i := uint64(0); i < n; i++ {
-				c.WriteHeap((i * 64) % c.HeapBytes())
+	// dirtiness (the padded switch must hide the variation). Each of
+	// its 24 rounds dirties a varying number of lines, then computes.
+	var round, i uint64
+	hi := timeprot.ProgramFunc(func(m *timeprot.Machine) timeprot.ProgramStatus {
+		for ; round < 24; round, i = round+1, 0 {
+			dirty := 20 + (round%4)*200
+			if i < dirty {
+				off := (i * 64) % m.HeapBytes()
+				i++
+				return m.WriteHeap(off)
 			}
-			for i := 0; i < 120; i++ {
-				c.Compute(150)
+			if i < dirty+120 {
+				i++
+				return m.Compute(150)
 			}
 		}
-	}); err != nil {
+		return timeprot.Done
+	})
+	if _, err := sys.SpawnProgram(0, "hi-worker", 0, hi); err != nil {
 		log.Fatal(err)
 	}
 
 	// Lo: observes its own memory latencies — all an attacker has.
-	if _, err := sys.Spawn(1, "lo-observer", 0, func(c *timeprot.UserCtx) {
-		cold := c.ReadHeap(0)
-		hot := c.ReadHeap(0)
-		fmt.Printf("lo: cold read %d cycles, hot read %d cycles (the timing signal attacks exploit)\n", cold, hot)
-		for i := uint64(0); i < 8000; i++ {
-			c.ReadHeap((i * 128) % c.HeapBytes())
+	var step, cold uint64
+	lo := timeprot.ProgramFunc(func(m *timeprot.Machine) timeprot.ProgramStatus {
+		step++
+		switch step {
+		case 1:
+			return m.ReadHeap(0)
+		case 2:
+			cold = m.Latency()
+			return m.ReadHeap(0)
+		case 3:
+			fmt.Printf("lo: cold read %d cycles, hot read %d cycles (the timing signal attacks exploit)\n", cold, m.Latency())
 		}
-	}); err != nil {
+		if n := step - 3; n < 8000 {
+			return m.ReadHeap((n * 128) % m.HeapBytes())
+		}
+		return timeprot.Done
+	})
+	if _, err := sys.SpawnProgram(1, "lo-observer", 0, lo); err != nil {
 		log.Fatal(err)
 	}
 

@@ -198,7 +198,7 @@ func TestSymbolSeqDeterministicAndInRange(t *testing.T) {
 }
 
 func TestShuffledOffsetsCoverAllSteps(t *testing.T) {
-	offs := shuffledOffsets(64, 2, 9)
+	offs := NewCellContext().shuffledOffsets(64, 2, 9)
 	if len(offs) != 32 {
 		t.Fatalf("len = %d, want 32", len(offs))
 	}

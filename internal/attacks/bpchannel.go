@@ -135,40 +135,39 @@ func (s *t13Spy) Step(m *kernel.Machine) kernel.Status {
 }
 
 // buildBPChannel constructs one T13 configuration.
-func buildBPChannel(label string, prot core.Config, rounds int, seed uint64, o execOpt) (*kernel.System, func(kernel.Report) Row) {
+func buildBPChannel(label string, prot core.Config, rounds int, seed uint64, cc *CellContext) (*kernel.System, func(kernel.Report) Row) {
 	pcfg := platform.DefaultConfig()
 	pcfg.Cores = 1
 
 	sys, err := kernel.NewSystem(kernel.SystemConfig{
 		Platform:   pcfg,
-		Pool:       o.sysPool(),
+		Pool:       cc.pool,
 		Protection: prot,
 		Domains: []core.DomainSpec{
 			{Name: "Hi", SliceCycles: t13Slice, PadCycles: t13Pad, Colors: mem.ColorRange(1, 32), CodePages: 4, HeapPages: 8},
 			{Name: "Lo", SliceCycles: t13Slice, PadCycles: t13Pad, Colors: mem.ColorRange(32, 64), CodePages: 4, HeapPages: 8},
 		},
-		Schedule:    [][]int{{0, 1}},
-		EnableTrace: o.trace,
-		MaxCycles:   uint64(rounds+16) * (t13Slice + t13Pad + 60_000) * 2,
+		Schedule:  [][]int{{0, 1}},
+		MaxCycles: uint64(rounds+16) * (t13Slice + t13Pad + 60_000) * 2,
 	})
 	if err != nil {
 		panic(fmt.Sprintf("attacks: T13 %s: %v", label, err))
 	}
 
-	seq := o.symbolSeq(rounds+8, 2, seed)
-	syms := o.symLog()
-	obs := o.obsLog()
+	seq := cc.symbolSeq(rounds+8, 2, seed)
+	syms := &cc.syms
+	obs := &cc.obs
 
-	o.spawn(sys, 0, "trojan", 0, &t13Trojan{
+	spawn(sys, 0, "trojan", 0, &t13Trojan{
 		rounds: rounds, seq: seq, syms: syms, spin: epochSpin{burn: 180},
 	})
-	o.spawn(sys, 1, "spy", 0, &t13Spy{
+	spawn(sys, 1, "spy", 0, &t13Spy{
 		rounds: rounds, obs: obs, spin: epochSpin{burn: 180},
 	})
 
 	return sys, func(rep kernel.Report) Row {
-		labels, vals := o.label(syms, obs, 3)
-		row := o.decodePairs(label, labels, vals, seed^0xBB13)
+		labels, vals := cc.label(syms, obs, 3)
+		row := cc.decodePairs(label, labels, vals, seed^0xBB13)
 		row.SimOps = rep.Ops
 		return row
 	}
@@ -176,7 +175,7 @@ func buildBPChannel(label string, prot core.Config, rounds int, seed uint64, o e
 
 // runBPChannel runs one T13 configuration.
 func runBPChannel(cc *CellContext, label string, prot core.Config, rounds int, seed uint64) Row {
-	sys, finish := buildBPChannel(label, prot, rounds, seed, execOpt{cc: cc})
+	sys, finish := buildBPChannel(label, prot, rounds, seed, cc)
 	return finish(mustRun(sys))
 }
 

@@ -156,7 +156,7 @@ func (s *t8Spy) Step(m *kernel.Machine) kernel.Status {
 }
 
 // buildBus constructs one T8 configuration.
-func buildBus(label string, prot core.Config, limiter *interconn.MBALimiter, tdm bool, mode busMode, windows int, seed uint64, o execOpt) (*kernel.System, func(kernel.Report) Row) {
+func buildBus(label string, prot core.Config, limiter *interconn.MBALimiter, tdm bool, mode busMode, windows int, seed uint64, cc *CellContext) (*kernel.System, func(kernel.Report) Row) {
 	pcfg := platform.DefaultConfig()
 	pcfg.Cores = 2
 	pcfg.LLCSets = 512 // small LLC so streams miss continuously
@@ -171,7 +171,7 @@ func buildBus(label string, prot core.Config, limiter *interconn.MBALimiter, tdm
 
 	sys, err := kernel.NewSystem(kernel.SystemConfig{
 		Platform:   pcfg,
-		Pool:       o.sysPool(),
+		Pool:       cc.pool,
 		Protection: prot,
 		Domains: []core.DomainSpec{
 			// 126 heap pages = 42 full colour-rotation cycles, so the
@@ -180,9 +180,8 @@ func buildBus(label string, prot core.Config, limiter *interconn.MBALimiter, tdm
 			{Name: "Hi", SliceCycles: 400_000, PadCycles: 20_000, Colors: mem.NewColorSet(1, 2, 3), CodePages: 4, HeapPages: 126},
 			{Name: "Lo", SliceCycles: 400_000, PadCycles: 20_000, Colors: mem.NewColorSet(4, 5, 6, 7), CodePages: 4, HeapPages: 128},
 		},
-		Schedule:    [][]int{{1}, {0}}, // Lo on core 0, Hi on core 1
-		EnableTrace: o.trace,
-		MaxCycles:   uint64(windows+8)*t8WindowLen + 8_000_000,
+		Schedule:  [][]int{{1}, {0}}, // Lo on core 0, Hi on core 1
+		MaxCycles: uint64(windows+8)*t8WindowLen + 8_000_000,
 	})
 	if err != nil {
 		panic(fmt.Sprintf("attacks: T8 %s: %v", label, err))
@@ -198,25 +197,25 @@ func buildBus(label string, prot core.Config, limiter *interconn.MBALimiter, tdm
 		sys.Machine().Bus.SetTDM(interconn.NewTDMSchedule(pcfg.Cores, pcfg.Lat.BusBeat*2, pcfg.Lat.BusBeat))
 	}
 
-	seq := o.symbolSeq(windows+8, 2, seed)
-	syms := o.symLog()
-	obs := o.obsLog()
+	seq := cc.symbolSeq(windows+8, 2, seed)
+	syms := &cc.syms
+	obs := &cc.obs
 	// Shuffled full-buffer orders: each stream is several times larger
 	// than its LLC partition, so misses are sustained, and the
 	// shuffling defeats the prefetcher.
-	trojOrder := o.shuffledOffsets(126*hw.LinesPerPage, 1, seed^0xF1)
-	spyOrder := o.shuffledOffsets(128*hw.LinesPerPage, 1, seed^0xF2)
+	trojOrder := cc.shuffledOffsets(126*hw.LinesPerPage, 1, seed^0xF1)
+	spyOrder := cc.shuffledOffsets(128*hw.LinesPerPage, 1, seed^0xF2)
 
-	o.spawn(sys, 0, "trojan", 1, &t8Trojan{
+	spawn(sys, 0, "trojan", 1, &t8Trojan{
 		windows: windows, mode: mode, seq: seq, trojOrder: trojOrder, syms: syms,
 	})
-	o.spawn(sys, 1, "spy", 0, &t8Spy{
+	spawn(sys, 1, "spy", 0, &t8Spy{
 		windows: windows, spyOrder: spyOrder, obs: obs,
 	})
 
 	return sys, func(rep kernel.Report) Row {
-		labels, vals := o.label(syms, obs, 15)
-		est, err := o.estimateLabelled(labels, vals, 16, seed^0x8888)
+		labels, vals := cc.label(syms, obs, 15)
+		est, err := cc.estimateLabelled(labels, vals, 16, seed^0x8888)
 		if err != nil {
 			panic(err)
 		}
@@ -242,7 +241,7 @@ func buildBus(label string, prot core.Config, limiter *interconn.MBALimiter, tdm
 
 // runBus runs one T8 configuration.
 func runBus(cc *CellContext, label string, prot core.Config, limiter *interconn.MBALimiter, tdm bool, mode busMode, windows int, seed uint64) Row {
-	sys, finish := buildBus(label, prot, limiter, tdm, mode, windows, seed, execOpt{cc: cc})
+	sys, finish := buildBus(label, prot, limiter, tdm, mode, windows, seed, cc)
 	return finish(mustRun(sys))
 }
 

@@ -19,8 +19,9 @@ import (
 // worker's marginal allocations per cell collapse to the bounded
 // per-cell kernel state (domains, page tables, threads).
 //
-// Correctness contract: running a variant with a CellContext must be
-// bit-identical to running it without one. Every reusable buffer is
+// Every cell runs on a CellContext; a fresh run is a run on
+// NewCellContext(). Correctness contract: a run on a reused context is
+// bit-identical to a run on a fresh one. Every reusable buffer is
 // rewound at the start of a run (beginRun) and fully overwritten before
 // use, pooled machines are healed to the freshly constructed state by
 // Machine.Reset on acquisition, and PermInto consumes exactly Perm's
@@ -28,10 +29,7 @@ import (
 // golden sweep/proof/conformance stores gate the equivalence.
 //
 // A CellContext is NOT safe for concurrent use; the experiment engine
-// creates one per worker goroutine. The zero-value absence of a context
-// (a nil *CellContext, the execOpt zero value) degrades every helper to
-// the historical fresh-allocation path, which keeps the legacy and
-// equivalence test harnesses untouched.
+// creates one per worker goroutine.
 type CellContext struct {
 	pool *platform.Pool
 
@@ -41,31 +39,27 @@ type CellContext struct {
 	labels []int
 	vals   []float64
 
-	ints intArena
+	arena intArena
 
-	colors  map[int]bool
-	samples *channel.Samples
-	est     channel.Estimator
-	tlog    *trace.Log
+	colors map[int]bool
+	samp   *channel.Samples
+	est    channel.Estimator
+	tlog   *trace.Log
 }
 
 // NewCellContext returns an empty context ready for reuse across cells.
 func NewCellContext() *CellContext {
 	return &CellContext{
-		pool:    platform.NewPool(),
-		colors:  make(map[int]bool),
-		samples: channel.NewSamples(),
-		tlog:    trace.NewLog(),
+		pool:   platform.NewPool(),
+		colors: make(map[int]bool),
+		samp:   channel.NewSamples(),
+		tlog:   trace.NewLog(),
 	}
 }
 
 // beginRun rewinds every reusable buffer for the next variant run.
-// Calling it on a nil context is a no-op.
 func (cc *CellContext) beginRun() {
-	if cc == nil {
-		return
-	}
-	cc.ints.reset()
+	cc.arena.reset()
 	cc.syms.commits = cc.syms.commits[:0]
 	cc.obs.obs = cc.obs.obs[:0]
 	cc.labels = cc.labels[:0]
@@ -74,28 +68,16 @@ func (cc *CellContext) beginRun() {
 
 // endRun returns pooled machines for reuse. It runs deferred from
 // Variant.RunIn, so a panicking scenario still releases its machine
-// (which Machine.Reset heals on the next acquisition). Calling it on a
-// nil context is a no-op.
-func (cc *CellContext) endRun() {
-	if cc == nil {
-		return
-	}
-	cc.pool.ReleaseAll()
-}
+// (which Machine.Reset heals on the next acquisition).
+func (cc *CellContext) endRun() { cc.pool.ReleaseAll() }
 
 // The exported wrappers below let external harnesses (the conformance
 // driver's pooled path, the discovery fuzzer) ride the same arena with
 // the same contract: BeginRun, execute, EndRun — results bit-identical
-// to the fresh path. All are nil-receiver safe.
+// to a run on a fresh context.
 
-// Pool returns the context's machine pool for kernel.SystemConfig.Pool
-// (nil without a context — the fresh-construction path).
-func (cc *CellContext) Pool() *platform.Pool {
-	if cc == nil {
-		return nil
-	}
-	return cc.pool
-}
+// Pool returns the context's machine pool for kernel.SystemConfig.Pool.
+func (cc *CellContext) Pool() *platform.Pool { return cc.pool }
 
 // BeginRun rewinds every reusable buffer for the next run.
 func (cc *CellContext) BeginRun() { cc.beginRun() }
@@ -109,7 +91,7 @@ func (cc *CellContext) EndRun() { cc.endRun() }
 // context's reusable sample set and estimator scratch; results are
 // bit-identical to the free function (which IS a fresh estimator).
 func (cc *CellContext) EstimateLabelled(labels []int, vals []float64, bins int, seed uint64) (channel.Estimate, error) {
-	return execOpt{cc: cc}.estimateLabelled(labels, vals, bins, seed)
+	return cc.estimateLabelled(labels, vals, bins, seed)
 }
 
 // intArena is a bump allocator for []int scratch on the cell path
@@ -142,58 +124,17 @@ func (a *intArena) take(n int) []int {
 	return s
 }
 
-// The execOpt helpers below are the allocation sites of the shared
-// harness, routed through the context when one is present and falling
-// back to the historical fresh allocations when not (legacy adapter,
-// equivalence tests, direct Variant.Run callers).
-
-// sysPool returns the machine pool for kernel.SystemConfig.Pool.
-func (o execOpt) sysPool() *platform.Pool {
-	if o.cc == nil {
-		return nil
-	}
-	return o.cc.pool
-}
-
-// symLog returns an empty symbol log, reused when a context is present.
-func (o execOpt) symLog() *SymLog {
-	if o.cc == nil {
-		return &SymLog{}
-	}
-	return &o.cc.syms
-}
-
-// obsLog returns an empty observation log, reused when a context is
-// present.
-func (o execOpt) obsLog() *ObsLog {
-	if o.cc == nil {
-		return &ObsLog{}
-	}
-	return &o.cc.obs
-}
-
-// traceLog returns the reusable event log for trace-enabled scenario
-// builds (kernel.SystemConfig.TraceLog), or nil for a fresh one.
-func (o execOpt) traceLog() *trace.Log {
-	if o.cc == nil {
-		return nil
-	}
-	return o.cc.tlog
-}
+// The helpers below are the allocation sites of the shared harness,
+// served from the context's reusable buffers.
 
 // ints returns a length-n []int scratch slice of unspecified contents.
-func (o execOpt) ints(n int) []int {
-	if o.cc == nil {
-		return make([]int, n)
-	}
-	return o.cc.ints.take(n)
-}
+func (cc *CellContext) ints(n int) []int { return cc.arena.take(n) }
 
 // symbolSeq is SymbolSeq on context scratch: a deterministic
 // pseudo-random symbol sequence over an alphabet of size arity.
-func (o execOpt) symbolSeq(n, arity int, seed uint64) []int {
+func (cc *CellContext) symbolSeq(n, arity int, seed uint64) []int {
 	r := rng.New(seed)
-	out := o.ints(n)
+	out := cc.ints(n)
 	for i := range out {
 		out[i] = r.Intn(arity)
 	}
@@ -202,104 +143,80 @@ func (o execOpt) symbolSeq(n, arity int, seed uint64) []int {
 
 // perm returns a pseudo-random permutation of [0, n) on context scratch,
 // consuming exactly the stream rng.Perm consumes.
-func (o execOpt) perm(r *rng.RNG, n int) []int {
-	return r.PermInto(o.ints(n))
+func (cc *CellContext) perm(r *rng.RNG, n int) []int {
+	return r.PermInto(cc.ints(n))
 }
 
-// shuffledOffsets is the harness shuffledOffsets on context scratch:
-// the line offsets {0, step, 2*step, ...} < lines in a deterministic
-// shuffled order (defeating the stride prefetcher), consuming exactly
-// the random stream the free function consumes.
-func (o execOpt) shuffledOffsets(lines, step int, seed uint64) []int {
+// shuffledOffsets returns the line offsets {0, step, 2*step, ...} <
+// lines in a deterministic shuffled order on context scratch, so that
+// probing them defeats the stride prefetcher.
+func (cc *CellContext) shuffledOffsets(lines, step int, seed uint64) []int {
 	r := rng.New(seed)
 	n := (lines + step - 1) / step
-	perm := r.PermInto(o.ints(n))
-	out := o.ints(n)
+	perm := r.PermInto(cc.ints(n))
+	out := cc.ints(n)
 	for i, p := range perm {
 		out[i] = p * step
 	}
 	return out
 }
 
-// decodePairs is the harness decodePairs on context scratch for the
-// decoded-symbol buffer.
-func (o execOpt) decodePairs(label string, labels []int, vals []float64, seed uint64) Row {
-	decoded := o.ints(len(vals))
+// decodePairs converts labelled decoded-symbol observations into a row,
+// on context scratch for the decoded-symbol buffer.
+func (cc *CellContext) decodePairs(label string, labels []int, vals []float64, seed uint64) Row {
+	decoded := cc.ints(len(vals))
 	for i, v := range vals {
 		decoded[i] = int(v)
 	}
-	est, err := o.estimatePairs(labels, decoded, seed)
+	est, err := cc.est.EstimatePairs(labels, decoded, seed)
 	if err != nil {
 		panic(fmt.Sprintf("attacks: %s: %v", label, err))
 	}
 	return Row{Label: label, Est: est, ErrRate: channel.ErrorRate(labels, decoded)}
 }
 
-// estimatePairs routes a pairs estimate through the context's reusable
-// estimator scratch; results are bit-identical either way (the free
-// function IS a fresh estimator).
-func (o execOpt) estimatePairs(syms, outs []int, seed uint64) (channel.Estimate, error) {
-	if o.cc == nil {
-		return channel.EstimatePairs(syms, outs, seed)
-	}
-	return o.cc.est.EstimatePairs(syms, outs, seed)
-}
-
-// estimateScalar routes a scalar estimate through the context's
-// reusable estimator scratch.
-func (o execOpt) estimateScalar(s *channel.Samples, bins int, seed uint64) (channel.Estimate, error) {
-	if o.cc == nil {
-		return channel.EstimateScalar(s, bins, seed)
-	}
-	return o.cc.est.EstimateScalar(s, bins, seed)
+// estimateScalar is channel.EstimateScalar on the context's reusable
+// estimator scratch.
+func (cc *CellContext) estimateScalar(s *channel.Samples, bins int, seed uint64) (channel.Estimate, error) {
+	return cc.est.EstimateScalar(s, bins, seed)
 }
 
 // label is Label on context scratch: the returned slices are views into
 // the context's buffers, valid until the next run begins.
-func (o execOpt) label(syms *SymLog, obs *ObsLog, warmup int) ([]int, []float64) {
-	if o.cc == nil {
-		return Label(syms, obs, warmup)
-	}
-	cc := o.cc
+func (cc *CellContext) label(syms *SymLog, obs *ObsLog, warmup int) ([]int, []float64) {
 	cc.labels, cc.vals = labelInto(cc.labels[:0], cc.vals[:0], syms, obs)
 	return trimWarmup(cc.labels, cc.vals, warmup)
 }
 
 // estimateLabelled is EstimateLabelled on the context's reusable sample
 // set.
-func (o execOpt) estimateLabelled(labels []int, vals []float64, bins int, seed uint64) (channel.Estimate, error) {
-	if o.cc == nil {
-		return EstimateLabelled(labels, vals, bins, seed)
-	}
+func (cc *CellContext) estimateLabelled(labels []int, vals []float64, bins int, seed uint64) (channel.Estimate, error) {
 	if len(labels) == 0 {
 		return channel.Estimate{}, fmt.Errorf("attacks: no labelled observations")
 	}
-	s := o.cc.samples
-	s.Reset()
+	s := cc.samples()
 	for i := range labels {
 		s.Add(labels[i], vals[i])
 	}
-	return o.cc.est.EstimateScalar(s, bins, seed)
+	return cc.est.EstimateScalar(s, bins, seed)
 }
 
-// samples returns an empty sample set, reused when a context is present
-// — for finish functions that accumulate unlabelled scalars directly
-// (T9's inter-arrival gaps).
-func (o execOpt) samples() *channel.Samples {
-	if o.cc == nil {
-		return channel.NewSamples()
-	}
-	s := o.cc.samples
-	s.Reset()
-	return s
+// samples returns the context's emptied sample set — for finish
+// functions that accumulate unlabelled scalars directly (T9's
+// inter-arrival gaps).
+func (cc *CellContext) samples() *channel.Samples {
+	cc.samp.Reset()
+	return cc.samp
 }
 
-// imageColors is the harness imageColors on the context's reusable
-// colour-set map.
-func (o execOpt) imageColors(sys *kernel.System, domainIdx int) map[int]bool {
-	if o.cc == nil {
-		return imageColors(sys, domainIdx)
+// imageColors returns the set of LLC colours occupied by domain
+// domainIdx's kernel image, in the context's reusable map.
+func (cc *CellContext) imageColors(sys *kernel.System, domainIdx int) map[int]bool {
+	clear(cc.colors)
+	d := sys.Domains()[domainIdx]
+	m := sys.Machine()
+	for _, pfn := range d.Image.TextPFNs {
+		cc.colors[m.Mem.Color(pfn)] = true
 	}
-	clear(o.cc.colors)
-	return imageColorsInto(o.cc.colors, sys, domainIdx)
+	return cc.colors
 }

@@ -7,18 +7,18 @@ import (
 
 // These tests pin the allocation-discipline contract of the pooled cell
 // path: running a variant inside a reused CellContext must be
-// bit-identical to context-free execution (CellContext is an execution
-// vehicle, never a model input), and the warm per-cell allocation count
-// must stay far below the fresh path's, so the hot loop of a sweep
-// cannot silently regress back to allocate-per-cell.
+// bit-identical to running it on a fresh one (CellContext is an
+// execution vehicle, never a model input), and the warm per-cell
+// allocation count must stay far below a fresh run's, so the hot loop
+// of a sweep cannot silently regress back to allocate-per-cell.
 
 // pooledRows compares a pooled row against the fresh row for one
 // variant. Rows can carry NaN (ErrRate for decoder-less scenarios), so
 // the comparison goes through %#v, under which NaN == NaN.
 func rowRepr(r Row) string { return fmt.Sprintf("%#v", r) }
 
-// TestPooledMatchesFresh runs every registry variant twice — once fresh
-// (nil context) and once inside a single CellContext shared across the
+// TestPooledMatchesFresh runs every registry variant twice — once on a
+// fresh context and once inside a single CellContext shared across the
 // whole matrix — and asserts bit-identical rows. Sharing one context
 // across all scenarios is the point: every variant after the first runs
 // on a dirty, previously-used context, so any scratch buffer that leaks

@@ -167,13 +167,13 @@ func (t *t9Net) Step(m *kernel.Machine) kernel.Status {
 }
 
 // buildDowngrader constructs one T9 configuration.
-func buildDowngrader(label string, prot core.Config, mode padMode, rounds int, seed uint64, o execOpt) (*kernel.System, func(kernel.Report) Row) {
+func buildDowngrader(label string, prot core.Config, mode padMode, rounds int, seed uint64, cc *CellContext) (*kernel.System, func(kernel.Report) Row) {
 	pcfg := platform.DefaultConfig()
 	pcfg.Cores = 1
 
 	sys, err := kernel.NewSystem(kernel.SystemConfig{
 		Platform:   pcfg,
-		Pool:       o.sysPool(),
+		Pool:       cc.pool,
 		Protection: prot,
 		Domains: []core.DomainSpec{
 			{Name: "Crypto", SliceCycles: t9Slice, PadCycles: t9Pad, Colors: mem.ColorRange(1, 32), CodePages: 4, HeapPages: 8},
@@ -182,35 +182,35 @@ func buildDowngrader(label string, prot core.Config, mode padMode, rounds int, s
 		Schedule:    [][]int{{0, 1}},
 		Endpoints:   []kernel.EndpointSpec{{ID: 0, MinDelivery: t9Cadence}},
 		EnableTrace: true,
-		TraceLog:    o.traceLog(),
+		TraceLog:    cc.tlog,
 		MaxCycles:   uint64(rounds+8)*400_000 + 8_000_000,
 	})
 	if err != nil {
 		panic(fmt.Sprintf("attacks: T9 %s: %v", label, err))
 	}
 
-	secrets := o.symbolSeq(rounds+2, t9Arity, seed)
+	secrets := cc.symbolSeq(rounds+2, t9Arity, seed)
 	cryptoUseful := new(uint64)
 	// done stops the interim thread once the workload completes; the
 	// lockstep execution of the kernel makes the shared flag safe.
 	done := new(bool)
 	arrivals := &[]t9Arrival{}
 
-	o.spawn(sys, 0, "crypto", 0, &t9Crypto{
+	spawn(sys, 0, "crypto", 0, &t9Crypto{
 		rounds: rounds, mode: mode, secrets: secrets, useful: cryptoUseful,
 	})
 	if mode == padInterim {
-		o.spawn(sys, 0, "interim", 0, &t9Interim{done: done})
+		spawn(sys, 0, "interim", 0, &t9Interim{done: done})
 	}
-	o.spawn(sys, 1, "net", 0, &t9Net{rounds: rounds, arrivals: arrivals, done: done})
+	spawn(sys, 1, "net", 0, &t9Net{rounds: rounds, arrivals: arrivals, done: done})
 
 	return sys, func(rep kernel.Report) Row {
-		s := o.samples()
+		s := cc.samples()
 		arr := *arrivals
 		for i := 1; i < len(arr); i++ {
 			s.Add(arr[i].sym, float64(arr[i].at-arr[i-1].at))
 		}
-		est, err := o.estimateScalar(s, 16, seed^0x9999)
+		est, err := cc.estimateScalar(s, 16, seed^0x9999)
 		if err != nil {
 			panic(err)
 		}
@@ -239,7 +239,7 @@ func buildDowngrader(label string, prot core.Config, mode padMode, rounds int, s
 
 // runDowngrader runs one T9 configuration.
 func runDowngrader(cc *CellContext, label string, prot core.Config, mode padMode, rounds int, seed uint64) Row {
-	sys, finish := buildDowngrader(label, prot, mode, rounds, seed, execOpt{cc: cc})
+	sys, finish := buildDowngrader(label, prot, mode, rounds, seed, cc)
 	rep, err := sys.Run()
 	if err != nil {
 		panic(err)

@@ -23,10 +23,7 @@ import (
 // padding the gap tracks the dirty count; with padding it is constant.
 //
 // T11 (padding sufficiency) shares this file. Like every scenario it
-// runs as a direct Program state machine, so the sweep store's engine
-// fingerprint covers a single execution path; the legacy goroutine
-// adapter is exercised by the execution-model equivalence tests, which
-// replay these same programs through it.
+// runs as a Program state machine on a CellContext.
 
 // t4Params sizes the T4 scenario.
 const (
@@ -135,38 +132,37 @@ func (s *t4Spy) Step(m *kernel.Machine) kernel.Status {
 }
 
 // buildFlushLatency constructs one T4 configuration.
-func buildFlushLatency(label string, prot core.Config, rounds int, seed uint64, o execOpt) (*kernel.System, func(kernel.Report) Row) {
+func buildFlushLatency(label string, prot core.Config, rounds int, seed uint64, cc *CellContext) (*kernel.System, func(kernel.Report) Row) {
 	pcfg := platform.DefaultConfig()
 	pcfg.Cores = 1
 
 	sys, err := kernel.NewSystem(kernel.SystemConfig{
 		Platform:   pcfg,
-		Pool:       o.sysPool(),
+		Pool:       cc.pool,
 		Protection: prot,
 		Domains: []core.DomainSpec{
 			{Name: "Hi", SliceCycles: t4Slice, PadCycles: t4Pad, Colors: mem.ColorRange(1, 32), CodePages: 4, HeapPages: 16},
 			{Name: "Lo", SliceCycles: t4Slice, PadCycles: t4Pad, Colors: mem.ColorRange(32, 64), CodePages: 4, HeapPages: 16},
 		},
-		Schedule:    [][]int{{0, 1}},
-		EnableTrace: o.trace,
-		MaxCycles:   uint64(rounds+16) * (t4Slice + t4Pad + 60_000) * 2,
+		Schedule:  [][]int{{0, 1}},
+		MaxCycles: uint64(rounds+16) * (t4Slice + t4Pad + 60_000) * 2,
 	})
 	if err != nil {
 		panic(fmt.Sprintf("attacks: T4 %s: %v", label, err))
 	}
 
-	seq := o.symbolSeq(rounds+8, t4Arity, seed)
-	syms := o.symLog()
-	obs := o.obsLog()
+	seq := cc.symbolSeq(rounds+8, t4Arity, seed)
+	syms := &cc.syms
+	obs := &cc.obs
 
-	o.spawn(sys, 0, "trojan", 0, &t4Trojan{
+	spawn(sys, 0, "trojan", 0, &t4Trojan{
 		rounds: rounds, seq: seq, syms: syms, spin: epochSpin{burn: 180},
 	})
-	o.spawn(sys, 1, "spy", 0, &t4Spy{rounds: rounds, obs: obs})
+	spawn(sys, 1, "spy", 0, &t4Spy{rounds: rounds, obs: obs})
 
 	return sys, func(rep kernel.Report) Row {
-		labels, vals := o.label(syms, obs, 3)
-		est, err := o.estimateLabelled(labels, vals, 16, seed^0x4444)
+		labels, vals := cc.label(syms, obs, 3)
+		est, err := cc.estimateLabelled(labels, vals, 16, seed^0x4444)
 		if err != nil {
 			panic(err)
 		}
@@ -176,7 +172,7 @@ func buildFlushLatency(label string, prot core.Config, rounds int, seed uint64, 
 
 // runFlushLatency runs one T4 configuration.
 func runFlushLatency(cc *CellContext, label string, prot core.Config, rounds int, seed uint64) Row {
-	sys, finish := buildFlushLatency(label, prot, rounds, seed, execOpt{cc: cc})
+	sys, finish := buildFlushLatency(label, prot, rounds, seed, cc)
 	return finish(mustRun(sys))
 }
 
@@ -198,9 +194,7 @@ func T11PaddingSufficiency(rounds int, seed uint64) Experiment {
 
 // t11Dirtier is the adversarial T11 workload as a direct-execution
 // Program: dirty as many lines as each slice allows, for `rounds`
-// slices. Its operation stream reproduces the original UserCtx loop
-// exactly (including the epoch re-read on each slice boundary), so the
-// measured tables are unchanged by the port.
+// slices, re-reading the epoch on each slice boundary.
 type t11Dirtier struct {
 	rounds int
 
@@ -265,13 +259,13 @@ func (p *computeLoop) Step(m *kernel.Machine) kernel.Status {
 // protection with the given pad budget under an adversarial dirtying
 // workload. Tracing is always enabled — the measurement itself reads
 // the switch trace.
-func buildPaddingSufficiency(label string, pad uint64, rounds int, o execOpt) (*kernel.System, func(kernel.Report) Row) {
+func buildPaddingSufficiency(label string, pad uint64, rounds int, cc *CellContext) (*kernel.System, func(kernel.Report) Row) {
 	prot := core.FullProtection()
 	pcfg := platform.DefaultConfig()
 	pcfg.Cores = 1
 	sys, err := kernel.NewSystem(kernel.SystemConfig{
 		Platform:   pcfg,
-		Pool:       o.sysPool(),
+		Pool:       cc.pool,
 		Protection: prot,
 		Domains: []core.DomainSpec{
 			{Name: "Hi", SliceCycles: 60_000, PadCycles: pad, Colors: mem.ColorRange(1, 32), CodePages: 4, HeapPages: 16},
@@ -279,14 +273,14 @@ func buildPaddingSufficiency(label string, pad uint64, rounds int, o execOpt) (*
 		},
 		Schedule:    [][]int{{0, 1}},
 		EnableTrace: true,
-		TraceLog:    o.traceLog(),
+		TraceLog:    cc.tlog,
 		MaxCycles:   uint64(rounds+16) * 400_000,
 	})
 	if err != nil {
 		panic(err)
 	}
-	o.spawn(sys, 0, "dirtier", 0, &t11Dirtier{rounds: rounds})
-	o.spawn(sys, 1, "other", 0, &computeLoop{n: rounds * 400, burn: 150})
+	spawn(sys, 0, "dirtier", 0, &t11Dirtier{rounds: rounds})
+	spawn(sys, 1, "other", 0, &computeLoop{n: rounds * 400, burn: 150})
 
 	return sys, func(rep kernel.Report) Row {
 		// Worst-case switch work observed: SwitchStart -> pre-pad
@@ -328,6 +322,6 @@ func buildPaddingSufficiency(label string, pad uint64, rounds int, o execOpt) (*
 
 // runPaddingSufficiency runs one T11 configuration.
 func runPaddingSufficiency(cc *CellContext, label string, pad uint64, rounds int) Row {
-	sys, finish := buildPaddingSufficiency(label, pad, rounds, execOpt{cc: cc})
+	sys, finish := buildPaddingSufficiency(label, pad, rounds, cc)
 	return finish(mustRun(sys))
 }

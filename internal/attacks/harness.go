@@ -20,16 +20,12 @@
 // the floor; the experiment engine's adaptive sampler keeps adding
 // rounds until the interval is tight enough to trust the verdict.
 //
-// Every scenario runs as a direct kernel.Program state machine — the
-// simulator's hot path, free of per-instruction goroutine handoffs —
-// so the sweep store's engine fingerprint covers exactly one execution
-// path. The legacy goroutine adapter stays exercised by the
-// execution-model equivalence tests, which replay representative
-// scenarios (including T11 and T12) through it and require bit-identical
-// traces. The lockstep execution of internal/kernel makes it safe for
-// the Trojan and the harness to share plain Go state for symbol commits
-// and observations: all user code is serialised by the simulator's
-// event loop regardless of execution path.
+// Every scenario runs as a kernel.Program state machine on a
+// CellContext — the simulator's one execution semantics — so the sweep
+// store's engine fingerprint covers exactly one code path. The lockstep
+// execution of internal/kernel makes it safe for the Trojan and the
+// harness to share plain Go state for symbol commits and observations:
+// all user code is serialised by the simulator's event loop.
 package attacks
 
 import (
@@ -228,29 +224,10 @@ func SymbolSeq(n, arity int, seed uint64) []int {
 	return out
 }
 
-// execOpt selects a scenario build's execution path and tracing. The
-// zero value is the production setting: direct Program execution, no
-// event log. The equivalence tests flip legacy to drive the identical
-// programs through the goroutine+UserCtx adapter and trace to compare
-// the two paths' event logs bit for bit.
-type execOpt struct {
-	legacy bool
-	trace  bool
-	// cc, when set, routes the build's allocation sites (machine
-	// construction, logs, scratch slices) through the per-worker cell
-	// context; nil keeps the historical fresh-allocation path.
-	cc *CellContext
-}
-
-// spawn adds a scenario program to sys on the selected execution path.
-func (o execOpt) spawn(sys *kernel.System, domain int, name string, cpu int, p kernel.Program) {
-	var err error
-	if o.legacy {
-		_, err = sys.Spawn(domain, name, cpu, kernel.ReplayProgram(p))
-	} else {
-		_, err = sys.SpawnProgram(domain, name, cpu, p)
-	}
-	if err != nil {
+// spawn adds a scenario program to sys; a scenario whose layout cannot
+// host its own programs is a construction bug.
+func spawn(sys *kernel.System, domain int, name string, cpu int, p kernel.Program) {
+	if _, err := sys.SpawnProgram(domain, name, cpu, p); err != nil {
 		panic(err)
 	}
 }
@@ -388,23 +365,6 @@ func mustRun(sys *kernel.System) kernel.Report {
 		panic(fmt.Sprintf("attacks: thread errors: %v", rep.Errors))
 	}
 	return rep
-}
-
-// imageColors returns the set of LLC colours occupied by domain
-// domainIdx's kernel image.
-func imageColors(sys *kernel.System, domainIdx int) map[int]bool {
-	return imageColorsInto(make(map[int]bool), sys, domainIdx)
-}
-
-// imageColorsInto fills a caller-provided (emptied) set — the
-// allocation-disciplined core of imageColors.
-func imageColorsInto(colors map[int]bool, sys *kernel.System, domainIdx int) map[int]bool {
-	d := sys.Domains()[domainIdx]
-	m := sys.Machine()
-	for _, pfn := range d.Image.TextPFNs {
-		colors[m.Mem.Color(pfn)] = true
-	}
-	return colors
 }
 
 // nan is the missing-value marker for Row.ErrRate.

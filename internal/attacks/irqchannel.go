@@ -142,38 +142,37 @@ func (s *t6Spy) Step(m *kernel.Machine) kernel.Status {
 }
 
 // buildIRQChannel constructs one T6 configuration.
-func buildIRQChannel(label string, prot core.Config, rounds int, seed uint64, o execOpt) (*kernel.System, func(kernel.Report) Row) {
+func buildIRQChannel(label string, prot core.Config, rounds int, seed uint64, cc *CellContext) (*kernel.System, func(kernel.Report) Row) {
 	pcfg := platform.DefaultConfig()
 	pcfg.Cores = 1
 
 	sys, err := kernel.NewSystem(kernel.SystemConfig{
 		Platform:   pcfg,
-		Pool:       o.sysPool(),
+		Pool:       cc.pool,
 		Protection: prot,
 		Domains: []core.DomainSpec{
 			{Name: "Hi", SliceCycles: t6Slice, PadCycles: t6Pad, Colors: mem.ColorRange(1, 32), IRQLines: []int{0}, CodePages: 4, HeapPages: 16},
 			{Name: "Lo", SliceCycles: t6Slice, PadCycles: t6Pad, Colors: mem.ColorRange(32, 64), IRQLines: []int{1}, CodePages: 4, HeapPages: 16},
 		},
-		Schedule:    [][]int{{0, 1}},
-		EnableTrace: o.trace,
-		MaxCycles:   uint64(rounds+16) * (t6Slice + t6Pad + 60_000) * 2,
+		Schedule:  [][]int{{0, 1}},
+		MaxCycles: uint64(rounds+16) * (t6Slice + t6Pad + 60_000) * 2,
 	})
 	if err != nil {
 		panic(fmt.Sprintf("attacks: T6 %s: %v", label, err))
 	}
 
-	seq := o.symbolSeq(rounds+8, 2, seed)
-	syms := o.symLog()
-	obs := o.obsLog()
+	seq := cc.symbolSeq(rounds+8, 2, seed)
+	syms := &cc.syms
+	obs := &cc.obs
 
-	o.spawn(sys, 0, "trojan", 0, &t6Trojan{
+	spawn(sys, 0, "trojan", 0, &t6Trojan{
 		rounds: rounds, seq: seq, syms: syms, spin: epochSpin{burn: 180},
 	})
-	o.spawn(sys, 1, "spy", 0, &t6Spy{rounds: rounds, obs: obs})
+	spawn(sys, 1, "spy", 0, &t6Spy{rounds: rounds, obs: obs})
 
 	return sys, func(rep kernel.Report) Row {
-		labels, vals := o.label(syms, obs, 3)
-		est, err := o.estimateLabelled(labels, vals, 12, seed^0x6666)
+		labels, vals := cc.label(syms, obs, 3)
+		est, err := cc.estimateLabelled(labels, vals, 12, seed^0x6666)
 		if err != nil {
 			panic(err)
 		}
@@ -183,7 +182,7 @@ func buildIRQChannel(label string, prot core.Config, rounds int, seed uint64, o 
 
 // runIRQChannel runs one T6 configuration.
 func runIRQChannel(cc *CellContext, label string, prot core.Config, rounds int, seed uint64) Row {
-	sys, finish := buildIRQChannel(label, prot, rounds, seed, execOpt{cc: cc})
+	sys, finish := buildIRQChannel(label, prot, rounds, seed, cc)
 	return finish(mustRun(sys))
 }
 

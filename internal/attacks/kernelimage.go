@@ -163,21 +163,20 @@ func (s *t5Spy) Step(m *kernel.Machine) kernel.Status {
 }
 
 // buildKernelImage constructs one T5 configuration.
-func buildKernelImage(label string, prot core.Config, rounds int, seed uint64, o execOpt) (*kernel.System, func(kernel.Report) Row) {
+func buildKernelImage(label string, prot core.Config, rounds int, seed uint64, cc *CellContext) (*kernel.System, func(kernel.Report) Row) {
 	pcfg := platform.DefaultConfig()
 	pcfg.Cores = 1
 
 	sys, err := kernel.NewSystem(kernel.SystemConfig{
 		Platform:   pcfg,
-		Pool:       o.sysPool(),
+		Pool:       cc.pool,
 		Protection: prot,
 		Domains: []core.DomainSpec{
 			{Name: "Hi", SliceCycles: t5Slice, PadCycles: t5Pad, Colors: mem.ColorRange(1, 32), CodePages: 4, HeapPages: 512},
 			{Name: "Lo", SliceCycles: t5Slice, PadCycles: t5Pad, Colors: mem.ColorRange(32, 64), CodePages: 4, HeapPages: 16},
 		},
-		Schedule:    [][]int{{0, 1}},
-		EnableTrace: o.trace,
-		MaxCycles:   uint64(rounds+16) * (t5Slice + t5Pad + 60_000) * 2,
+		Schedule:  [][]int{{0, 1}},
+		MaxCycles: uint64(rounds+16) * (t5Slice + t5Pad + 60_000) * 2,
 	})
 	if err != nil {
 		panic(fmt.Sprintf("attacks: T5 %s: %v", label, err))
@@ -197,21 +196,21 @@ func buildKernelImage(label string, prot core.Config, rounds int, seed uint64, o
 	}
 	pathLines := kernel.SyscallPathLines()
 
-	seq := o.symbolSeq(rounds+8, 2, seed)
-	syms := o.symLog()
-	obs := o.obsLog()
+	seq := cc.symbolSeq(rounds+8, 2, seed)
+	syms := &cc.syms
+	obs := &cc.obs
 
-	o.spawn(sys, 0, "trojan", 0, &t5Trojan{
+	spawn(sys, 0, "trojan", 0, &t5Trojan{
 		rounds: rounds, seq: seq, trojPages: trojPages, pathLines: pathLines,
 		syms: syms, spin: epochSpin{burn: 180},
 	})
-	o.spawn(sys, 1, "spy", 0, &t5Spy{
+	spawn(sys, 1, "spy", 0, &t5Spy{
 		rounds: rounds, obs: obs, spin: epochSpin{burn: 180},
 	})
 
 	return sys, func(rep kernel.Report) Row {
-		labels, vals := o.label(syms, obs, 4)
-		est, err := o.estimateLabelled(labels, vals, 16, seed^0x55AA)
+		labels, vals := cc.label(syms, obs, 4)
+		est, err := cc.estimateLabelled(labels, vals, 16, seed^0x55AA)
 		if err != nil {
 			panic(err)
 		}
@@ -221,7 +220,7 @@ func buildKernelImage(label string, prot core.Config, rounds int, seed uint64, o
 
 // runKernelImage runs one T5 configuration.
 func runKernelImage(cc *CellContext, label string, prot core.Config, rounds int, seed uint64) Row {
-	sys, finish := buildKernelImage(label, prot, rounds, seed, execOpt{cc: cc})
+	sys, finish := buildKernelImage(label, prot, rounds, seed, cc)
 	return finish(mustRun(sys))
 }
 

@@ -184,7 +184,7 @@ func t16VolumePages(byColor map[int][]int, n int) []int {
 
 // buildOccupancy constructs one T16 configuration: Trojan and spy on
 // separate cores, concurrent forever, with the variant's colour layout.
-func buildOccupancy(label string, rounds int, seed uint64, o execOpt) (*kernel.System, func(kernel.Report) Row) {
+func buildOccupancy(label string, rounds int, seed uint64, cc *CellContext) (*kernel.System, func(kernel.Report) Row) {
 	layout := t16Spec(label)
 	pcfg := platform.DefaultConfig()
 	pcfg.Cores = 2
@@ -194,15 +194,14 @@ func buildOccupancy(label string, rounds int, seed uint64, o execOpt) (*kernel.S
 
 	sys, err := kernel.NewSystem(kernel.SystemConfig{
 		Platform:   pcfg,
-		Pool:       o.sysPool(),
+		Pool:       cc.pool,
 		Protection: layout.prot,
 		Domains: []core.DomainSpec{
 			{Name: "Hi", SliceCycles: 400_000, PadCycles: 20_000, Colors: layout.hi, CodePages: 4, HeapPages: 64},
 			{Name: "Lo", SliceCycles: 400_000, PadCycles: 20_000, Colors: layout.lo, CodePages: 4, HeapPages: 16},
 		},
-		Schedule:    [][]int{{1}, {0}}, // Lo on core 0, Hi on core 1
-		EnableTrace: o.trace,
-		MaxCycles:   uint64(rounds+8)*t16WindowLen + 8_000_000,
+		Schedule:  [][]int{{1}, {0}}, // Lo on core 0, Hi on core 1
+		MaxCycles: uint64(rounds+8)*t16WindowLen + 8_000_000,
 	})
 	if err != nil {
 		panic(fmt.Sprintf("attacks: T16 %s: %v", label, err))
@@ -211,12 +210,12 @@ func buildOccupancy(label string, rounds int, seed uint64, o execOpt) (*kernel.S
 	trojPages := pagesByColor(sys, 0)
 	spyPages := pagesByColor(sys, 1)
 
-	seq := o.symbolSeq(rounds+8, 2, seed)
-	syms := o.symLog()
-	obs := o.obsLog()
-	lineOrder := o.shuffledOffsets(hw.LinesPerPage, 2, seed^0x16C)
+	seq := cc.symbolSeq(rounds+8, 2, seed)
+	syms := &cc.syms
+	obs := &cc.obs
+	lineOrder := cc.shuffledOffsets(hw.LinesPerPage, 2, seed^0x16C)
 
-	o.spawn(sys, 0, "trojan", 1, &windowedThrasher{
+	spawn(sys, 0, "trojan", 1, &windowedThrasher{
 		windows: rounds, windowLen: t16WindowLen,
 		seq: seq,
 		groups: [][]int{
@@ -225,15 +224,15 @@ func buildOccupancy(label string, rounds int, seed uint64, o execOpt) (*kernel.S
 		},
 		lineOrder: lineOrder, syms: syms,
 	})
-	o.spawn(sys, 1, "spy", 0, &t16Spy{
+	spawn(sys, 1, "spy", 0, &t16Spy{
 		windows: rounds, windowLen: t16WindowLen,
 		pages:     t16ResidentPages(spyPages, t16SpyPages),
 		lineOrder: lineOrder, obs: obs,
 	})
 
 	return sys, func(rep kernel.Report) Row {
-		labels, vals := o.label(syms, obs, 6)
-		est, err := o.estimateLabelled(labels, vals, 16, seed^0x16F)
+		labels, vals := cc.label(syms, obs, 6)
+		est, err := cc.estimateLabelled(labels, vals, 16, seed^0x16F)
 		if err != nil {
 			panic(err)
 		}
@@ -243,7 +242,7 @@ func buildOccupancy(label string, rounds int, seed uint64, o execOpt) (*kernel.S
 
 // runOccupancy runs one T16 configuration.
 func runOccupancy(cc *CellContext, label string, rounds int, seed uint64) Row {
-	sys, finish := buildOccupancy(label, rounds, seed, execOpt{cc: cc})
+	sys, finish := buildOccupancy(label, rounds, seed, cc)
 	return finish(mustRun(sys))
 }
 

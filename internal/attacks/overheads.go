@@ -87,7 +87,7 @@ func (w *t12Worker) Step(m *kernel.Machine) kernel.Status {
 
 // buildOverhead constructs one T12 configuration: both domains running
 // the fixed workload to completion on one core.
-func buildOverhead(label string, prot core.Config, workRounds int, o execOpt) (*kernel.System, func(kernel.Report) Row) {
+func buildOverhead(label string, prot core.Config, workRounds int, cc *CellContext) (*kernel.System, func(kernel.Report) Row) {
 	const (
 		slice = 60_000
 		pad   = 20_000
@@ -100,23 +100,22 @@ func buildOverhead(label string, prot core.Config, workRounds int, o execOpt) (*
 
 	sys, err := kernel.NewSystem(kernel.SystemConfig{
 		Platform:   pcfg,
-		Pool:       o.sysPool(),
+		Pool:       cc.pool,
 		Protection: prot,
 		Domains: []core.DomainSpec{
 			{Name: "A", SliceCycles: slice, PadCycles: pad, Colors: mem.ColorRange(1, 8), CodePages: 4, HeapPages: 60},
 			{Name: "B", SliceCycles: slice, PadCycles: pad, Colors: mem.ColorRange(8, 16), CodePages: 4, HeapPages: 60},
 		},
-		Schedule:    [][]int{{0, 1}},
-		EnableTrace: o.trace,
-		MaxCycles:   uint64(workRounds)*3_000_000 + 100_000_000,
+		Schedule:  [][]int{{0, 1}},
+		MaxCycles: uint64(workRounds)*3_000_000 + 100_000_000,
 	})
 	if err != nil {
 		panic(fmt.Sprintf("attacks: T12 %s: %v", label, err))
 	}
 
 	ops := new(int)
-	o.spawn(sys, 0, "a", 0, &t12Worker{rounds: workRounds, ops: ops})
-	o.spawn(sys, 1, "b", 0, &t12Worker{rounds: workRounds, ops: ops})
+	spawn(sys, 0, "a", 0, &t12Worker{rounds: workRounds, ops: ops})
+	spawn(sys, 1, "b", 0, &t12Worker{rounds: workRounds, ops: ops})
 
 	return sys, func(rep kernel.Report) Row {
 		total := float64(rep.CPUCycles[0])
@@ -137,7 +136,7 @@ func buildOverhead(label string, prot core.Config, workRounds int, o execOpt) (*
 // runOverhead measures one configuration: total cycles for both domains
 // to finish a fixed workload.
 func runOverhead(cc *CellContext, label string, prot core.Config, workRounds int) (Row, float64) {
-	sys, finish := buildOverhead(label, prot, workRounds, execOpt{cc: cc})
+	sys, finish := buildOverhead(label, prot, workRounds, cc)
 	row := finish(mustRun(sys))
 	return row, extraValue(row, "cycles_per_op")
 }

@@ -193,41 +193,40 @@ func (s *t15Spy) Step(m *kernel.Machine) kernel.Status {
 }
 
 // buildPrefetchChannel constructs one T15 configuration.
-func buildPrefetchChannel(label string, prot core.Config, rounds int, seed uint64, o execOpt) (*kernel.System, func(kernel.Report) Row) {
+func buildPrefetchChannel(label string, prot core.Config, rounds int, seed uint64, cc *CellContext) (*kernel.System, func(kernel.Report) Row) {
 	pcfg := platform.DefaultConfig()
 	pcfg.Cores = 1
 
 	sys, err := kernel.NewSystem(kernel.SystemConfig{
 		Platform:   pcfg,
-		Pool:       o.sysPool(),
+		Pool:       cc.pool,
 		Protection: prot,
 		Domains: []core.DomainSpec{
 			{Name: "Hi", SliceCycles: t15Slice, PadCycles: t15Pad, Colors: mem.ColorRange(1, 32), CodePages: 4, HeapPages: 4},
 			{Name: "Lo", SliceCycles: t15Slice, PadCycles: t15Pad, Colors: mem.ColorRange(32, 64), CodePages: 4, HeapPages: t15Ways},
 		},
-		Schedule:    [][]int{{0, 1}},
-		EnableTrace: o.trace,
-		MaxCycles:   uint64(rounds+16) * (t15Slice + t15Pad + 60_000) * 2,
+		Schedule:  [][]int{{0, 1}},
+		MaxCycles: uint64(rounds+16) * (t15Slice + t15Pad + 60_000) * 2,
 	})
 	if err != nil {
 		panic(fmt.Sprintf("attacks: T15 %s: %v", label, err))
 	}
 
-	seq := o.symbolSeq(rounds+8, 2, seed)
-	syms := o.symLog()
-	obs := o.obsLog()
+	seq := cc.symbolSeq(rounds+8, 2, seed)
+	syms := &cc.syms
+	obs := &cc.obs
 
-	o.spawn(sys, 0, "trojan", 0, &t15Trojan{
+	spawn(sys, 0, "trojan", 0, &t15Trojan{
 		rounds: rounds, seq: seq, syms: syms, spin: epochSpin{burn: 180},
 	})
-	o.spawn(sys, 1, "spy", 0, &t15Spy{
-		rounds: rounds, pageOrder: o.shuffledOffsets(t15Ways, 1, seed^0xF3), obs: obs,
+	spawn(sys, 1, "spy", 0, &t15Spy{
+		rounds: rounds, pageOrder: cc.shuffledOffsets(t15Ways, 1, seed^0xF3), obs: obs,
 		spin: epochSpin{burn: 180},
 	})
 
 	return sys, func(rep kernel.Report) Row {
-		labels, vals := o.label(syms, obs, 3)
-		est, err := o.estimateLabelled(labels, vals, 16, seed^0x15F)
+		labels, vals := cc.label(syms, obs, 3)
+		est, err := cc.estimateLabelled(labels, vals, 16, seed^0x15F)
 		if err != nil {
 			panic(err)
 		}
@@ -237,7 +236,7 @@ func buildPrefetchChannel(label string, prot core.Config, rounds int, seed uint6
 
 // runPrefetchChannel runs one T15 configuration.
 func runPrefetchChannel(cc *CellContext, label string, prot core.Config, rounds int, seed uint64) Row {
-	sys, finish := buildPrefetchChannel(label, prot, rounds, seed, execOpt{cc: cc})
+	sys, finish := buildPrefetchChannel(label, prot, rounds, seed, cc)
 	return finish(mustRun(sys))
 }
 

@@ -3,13 +3,11 @@ package attacks
 import (
 	"fmt"
 
-	"timeprot/internal/channel"
 	"timeprot/internal/core"
 	"timeprot/internal/hw"
 	"timeprot/internal/hw/mem"
 	"timeprot/internal/hw/platform"
 	"timeprot/internal/kernel"
-	"timeprot/internal/rng"
 )
 
 // This file implements the cache prime-and-probe attacks (Osvik et al.
@@ -53,33 +51,6 @@ func defaultL1Params(rounds int) l1Params {
 		slice:        100_000,
 		pad:          25_000,
 	}
-}
-
-// shuffledOffsets returns the line offsets {0, step, 2*step, ...} < lines
-// in a deterministic shuffled order, so that probing them defeats the
-// stride prefetcher.
-func shuffledOffsets(lines, step int, seed uint64) []int {
-	r := rng.New(seed)
-	n := (lines + step - 1) / step
-	perm := r.Perm(n)
-	out := make([]int, n)
-	for i, p := range perm {
-		out[i] = p * step
-	}
-	return out
-}
-
-// decodePairs converts labelled decoded-symbol observations into a row.
-func decodePairs(label string, labels []int, vals []float64, seed uint64) Row {
-	decoded := make([]int, len(vals))
-	for i, v := range vals {
-		decoded[i] = int(v)
-	}
-	est, err := channel.EstimatePairs(labels, decoded, seed)
-	if err != nil {
-		panic(fmt.Sprintf("attacks: %s: %v", label, err))
-	}
-	return Row{Label: label, Est: est, ErrRate: channel.ErrorRate(labels, decoded)}
 }
 
 // t2Trojan transmits the symbol sequence through the L1: in its k-th
@@ -260,43 +231,42 @@ func (s *t2Spy) Step(m *kernel.Machine) kernel.Status {
 
 // buildL1PrimeProbe constructs one T2 configuration; finish turns the
 // harness logs into the measured row once the system has run.
-func buildL1PrimeProbe(label string, prot core.Config, p l1Params, seed uint64, o execOpt) (*kernel.System, func(kernel.Report) Row) {
+func buildL1PrimeProbe(label string, prot core.Config, p l1Params, seed uint64, cc *CellContext) (*kernel.System, func(kernel.Report) Row) {
 	pcfg := platform.DefaultConfig()
 	pcfg.Cores = 1
-	seq := o.symbolSeq(p.rounds+8, p.groups, seed)
+	seq := cc.symbolSeq(p.rounds+8, p.groups, seed)
 
 	sys, err := kernel.NewSystem(kernel.SystemConfig{
 		Platform:   pcfg,
-		Pool:       o.sysPool(),
+		Pool:       cc.pool,
 		Protection: prot,
 		Domains: []core.DomainSpec{
 			{Name: "Hi", SliceCycles: p.slice, PadCycles: p.pad, Colors: mem.ColorRange(1, 32), CodePages: 4, HeapPages: 16},
 			{Name: "Lo", SliceCycles: p.slice, PadCycles: p.pad, Colors: mem.ColorRange(32, 64), CodePages: 4, HeapPages: 16},
 		},
-		Schedule:    [][]int{{0, 1}},
-		EnableTrace: o.trace,
-		MaxCycles:   uint64(p.rounds+16) * (p.slice + p.pad + 60_000) * 2,
+		Schedule:  [][]int{{0, 1}},
+		MaxCycles: uint64(p.rounds+16) * (p.slice + p.pad + 60_000) * 2,
 	})
 	if err != nil {
 		panic(fmt.Sprintf("attacks: T2 %s: %v", label, err))
 	}
 
-	syms := o.symLog()
-	obs := o.obsLog()
-	setOrder := o.shuffledOffsets(p.setsPerGroup, 1, seed^0xA0)
+	syms := &cc.syms
+	obs := &cc.obs
+	setOrder := cc.shuffledOffsets(p.setsPerGroup, 1, seed^0xA0)
 
-	o.spawn(sys, 0, "trojan", 0, &t2Trojan{
+	spawn(sys, 0, "trojan", 0, &t2Trojan{
 		p: p, seq: seq, setOrder: setOrder, syms: syms, spin: epochSpin{burn: 180},
 	})
-	o.spawn(sys, 1, "spy", 0, &t2Spy{
+	spawn(sys, 1, "spy", 0, &t2Spy{
 		p: p, obs: obs,
 		prb:  l1Probe{p: p, setOrder: setOrder},
 		spin: epochSpin{burn: 180},
 	})
 
 	return sys, func(rep kernel.Report) Row {
-		labels, vals := o.label(syms, obs, 4)
-		row := o.decodePairs(label, labels, vals, seed^0x5151)
+		labels, vals := cc.label(syms, obs, 4)
+		row := cc.decodePairs(label, labels, vals, seed^0x5151)
 		row.SimOps = rep.Ops
 		return row
 	}
@@ -304,7 +274,7 @@ func buildL1PrimeProbe(label string, prot core.Config, p l1Params, seed uint64, 
 
 // runL1PrimeProbe runs one T2 configuration and returns its row.
 func runL1PrimeProbe(cc *CellContext, label string, prot core.Config, p l1Params, seed uint64) Row {
-	sys, finish := buildL1PrimeProbe(label, prot, p, seed, execOpt{cc: cc})
+	sys, finish := buildL1PrimeProbe(label, prot, p, seed, cc)
 	return finish(mustRun(sys))
 }
 
@@ -496,7 +466,7 @@ func (s *t3Spy) Step(m *kernel.Machine) kernel.Status {
 // separate cores, running concurrently; no domain switch ever happens,
 // so flushing and padding are structurally irrelevant and only colouring
 // can help.
-func buildLLCPrimeProbe(label string, prot core.Config, p llcParams, seed uint64, o execOpt) (*kernel.System, func(kernel.Report) Row) {
+func buildLLCPrimeProbe(label string, prot core.Config, p llcParams, seed uint64, cc *CellContext) (*kernel.System, func(kernel.Report) Row) {
 	pcfg := platform.DefaultConfig()
 	pcfg.Cores = 2
 	pcfg.LLCSets = 512 // 256 KiB, 8 colours: small enough to thrash
@@ -505,15 +475,14 @@ func buildLLCPrimeProbe(label string, prot core.Config, p llcParams, seed uint64
 
 	sys, err := kernel.NewSystem(kernel.SystemConfig{
 		Platform:   pcfg,
-		Pool:       o.sysPool(),
+		Pool:       cc.pool,
 		Protection: prot,
 		Domains: []core.DomainSpec{
 			{Name: "Hi", SliceCycles: 400_000, PadCycles: 20_000, Colors: mem.NewColorSet(1, 2, 3), CodePages: 4, HeapPages: 128},
 			{Name: "Lo", SliceCycles: 400_000, PadCycles: 20_000, Colors: mem.NewColorSet(4, 5, 6, 7), CodePages: 4, HeapPages: 64},
 		},
-		Schedule:    [][]int{{1}, {0}}, // Lo on core 0, Hi on core 1: co-resident forever
-		EnableTrace: o.trace,
-		MaxCycles:   uint64(p.windows+8)*p.windowLen + 8_000_000,
+		Schedule:  [][]int{{1}, {0}}, // Lo on core 0, Hi on core 1: co-resident forever
+		MaxCycles: uint64(p.windows+8)*p.windowLen + 8_000_000,
 	})
 	if err != nil {
 		panic(fmt.Sprintf("attacks: T3 %s: %v", label, err))
@@ -541,23 +510,23 @@ func buildLLCPrimeProbe(label string, prot core.Config, p llcParams, seed uint64
 		trojG[1] = firstN(trojPages[trojOwn[len(trojOwn)-1]], 10)
 	}
 
-	seq := o.symbolSeq(p.windows+8, 2, seed)
-	syms := o.symLog()
-	obs := o.obsLog()
-	lineOrder := o.shuffledOffsets(hw.LinesPerPage, 2, seed^0xB7)
+	seq := cc.symbolSeq(p.windows+8, 2, seed)
+	syms := &cc.syms
+	obs := &cc.obs
+	lineOrder := cc.shuffledOffsets(hw.LinesPerPage, 2, seed^0xB7)
 
-	o.spawn(sys, 0, "trojan", 1, &t3Trojan{
+	spawn(sys, 0, "trojan", 1, &t3Trojan{
 		windows: p.windows, windowLen: p.windowLen,
 		seq: seq, trojG: trojG, lineOrder: lineOrder, syms: syms,
 	})
-	o.spawn(sys, 1, "spy", 0, &t3Spy{
+	spawn(sys, 1, "spy", 0, &t3Spy{
 		windowLen: p.windowLen, windows: p.windows,
 		spyG: spyG, lineOrder: lineOrder, obs: obs,
 	})
 
 	return sys, func(rep kernel.Report) Row {
-		labels, vals := o.label(syms, obs, 6)
-		row := o.decodePairs(label, labels, vals, seed^0x1313)
+		labels, vals := cc.label(syms, obs, 6)
+		row := cc.decodePairs(label, labels, vals, seed^0x1313)
 		row.SimOps = rep.Ops
 		return row
 	}
@@ -565,7 +534,7 @@ func buildLLCPrimeProbe(label string, prot core.Config, p llcParams, seed uint64
 
 // runLLCPrimeProbe runs one T3 configuration.
 func runLLCPrimeProbe(cc *CellContext, label string, prot core.Config, p llcParams, seed uint64) Row {
-	sys, finish := buildLLCPrimeProbe(label, prot, p, seed, execOpt{cc: cc})
+	sys, finish := buildLLCPrimeProbe(label, prot, p, seed, cc)
 	return finish(mustRun(sys))
 }
 

@@ -28,7 +28,7 @@ type Variant struct {
 	// (e.g. T11's pad budget) it records the base configuration.
 	Prot core.Config
 	// run executes the variant at the given rounds and seed, routing
-	// allocations through cc when non-nil.
+	// allocations through cc.
 	run func(cc *CellContext, rounds int, seed uint64) Row
 }
 
@@ -40,20 +40,20 @@ func NewVariant(label string, prot core.Config, run func(cc *CellContext, rounds
 	return Variant{Label: label, Prot: prot, run: run}
 }
 
-// Run executes the variant and returns its measured row. Each call
-// constructs a fresh simulated system, so concurrent calls are safe and
-// results depend only on (rounds, seed). Run stamps the row with the
-// rounds it measured; adaptive callers that re-run a variant across a
-// rounds ladder overwrite RoundsRun with the ladder's total.
+// Run executes the variant on a fresh cell context and returns its
+// measured row. Each call constructs a fresh simulated system, so
+// concurrent calls are safe and results depend only on (rounds, seed).
 func (v Variant) Run(rounds int, seed uint64) Row {
-	return v.RunIn(nil, rounds, seed)
+	return v.RunIn(NewCellContext(), rounds, seed)
 }
 
 // RunIn is Run on a reusable cell context: the variant's machine comes
 // from the context's pool and its harness scratch from the context's
-// buffers, with bit-identical results. A nil context is exactly Run.
-// The context's machines are released (and its buffers rewound on the
-// next run) even if the scenario panics.
+// buffers, with results bit-identical to a fresh context. RunIn stamps
+// the row with the rounds it measured; adaptive callers that re-run a
+// variant across a rounds ladder overwrite RoundsRun with the ladder's
+// total. The context's machines are released (and its buffers rewound
+// on the next run) even if the scenario panics.
 func (v Variant) RunIn(cc *CellContext, rounds int, seed uint64) Row {
 	cc.beginRun()
 	defer cc.endRun()
@@ -88,8 +88,8 @@ type Scenario struct {
 	Variants []Variant
 	// Custom runs the scenario under an arbitrary protection
 	// configuration; nil when the scenario needs bespoke per-variant
-	// setup that a bare core.Config cannot express. The cell context is
-	// nil for one-off callers (RunCustom).
+	// setup that a bare core.Config cannot express. One-off callers
+	// use RunCustom, which supplies a fresh cell context.
 	Custom func(cc *CellContext, label string, prot core.Config, rounds int, seed uint64) Row
 	// finalize post-processes a complete ordered row set (e.g. T12's
 	// slowdown-vs-baseline column); nil when rows are independent.
@@ -104,14 +104,11 @@ type Scenario struct {
 }
 
 // RunCustom runs the scenario under an arbitrary protection
-// configuration via its Custom entry point, stamping the row's rounds
-// metadata exactly as Variant.Run does. It panics if the scenario has
-// no Custom runner; callers gate on s.Custom != nil.
+// configuration via its Custom entry point, as a Variant.Run on a
+// fresh cell context. It panics if the scenario has no Custom runner;
+// callers gate on s.Custom != nil.
 func (s Scenario) RunCustom(label string, prot core.Config, rounds int, seed uint64) Row {
-	row := s.Custom(nil, label, prot, rounds, seed)
-	row.Rounds = rounds
-	row.RoundsRun = rounds
-	return row
+	return variant(label, prot, s.Custom).Run(rounds, seed)
 }
 
 // VariantByLabel returns the variant with the exact label.

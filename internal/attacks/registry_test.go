@@ -85,3 +85,16 @@ func TestExperimentMatchesVariantCells(t *testing.T) {
 		}
 	}
 }
+
+// TestRunCustomMatchesVariant: a custom-configuration run of a
+// variant's own configuration is that variant's cell, rounds metadata
+// included — RunCustom is Variant.Run on a fresh context.
+func TestRunCustomMatchesVariant(t *testing.T) {
+	const rounds, seed = 30, 9
+	s, _ := ScenarioByID("T4")
+	for _, v := range s.Variants {
+		if got, want := rowRepr(s.RunCustom(v.Label, v.Prot, rounds, seed)), rowRepr(v.Run(rounds, seed)); got != want {
+			t.Errorf("%s: RunCustom diverges from the variant cell:\ncustom:  %s\nvariant: %s", v.Label, got, want)
+		}
+	}
+}

@@ -160,7 +160,7 @@ func (s *t7Spy) Step(m *kernel.Machine) kernel.Status {
 // buildSMT constructs one T7 configuration. coResident selects the
 // insecure placement (Hi and Lo pinned to sibling hardware threads)
 // versus the policy-compliant time-shared placement.
-func buildSMT(label string, prot core.Config, coResident bool, windows int, seed uint64, o execOpt) (*kernel.System, func(kernel.Report) Row) {
+func buildSMT(label string, prot core.Config, coResident bool, windows int, seed uint64, cc *CellContext) (*kernel.System, func(kernel.Report) Row) {
 	pcfg := platform.DefaultConfig()
 	pcfg.Cores = 1
 	pcfg.SMTWays = 2
@@ -173,35 +173,34 @@ func buildSMT(label string, prot core.Config, coResident bool, windows int, seed
 
 	sys, err := kernel.NewSystem(kernel.SystemConfig{
 		Platform:   pcfg,
-		Pool:       o.sysPool(),
+		Pool:       cc.pool,
 		Protection: prot,
 		Domains: []core.DomainSpec{
 			{Name: "Hi", SliceCycles: t7Slice, PadCycles: t7Pad, Colors: mem.ColorRange(1, 32), CodePages: 4, HeapPages: 16},
 			{Name: "Lo", SliceCycles: t7Slice, PadCycles: t7Pad, Colors: mem.ColorRange(32, 64), CodePages: 4, HeapPages: 16},
 		},
-		Schedule:    schedule,
-		EnableTrace: o.trace,
-		MaxCycles:   uint64(windows+16)*t7WindowLen*4 + 8_000_000,
+		Schedule:  schedule,
+		MaxCycles: uint64(windows+16)*t7WindowLen*4 + 8_000_000,
 	})
 	if err != nil {
 		panic(fmt.Sprintf("attacks: T7 %s: %v", label, err))
 	}
 
-	seq := o.symbolSeq(windows+8, 2, seed)
-	syms := o.symLog()
-	obs := o.obsLog()
-	setOrder := o.shuffledOffsets(t7SpyLines, 1, seed^0xE1)
+	seq := cc.symbolSeq(windows+8, 2, seed)
+	syms := &cc.syms
+	obs := &cc.obs
+	setOrder := cc.shuffledOffsets(t7SpyLines, 1, seed^0xE1)
 
-	o.spawn(sys, 0, "trojan", trojCPU, &t7Trojan{
+	spawn(sys, 0, "trojan", trojCPU, &t7Trojan{
 		windows: windows, seq: seq, setOrder: setOrder, syms: syms,
 	})
-	o.spawn(sys, 1, "spy", spyCPU, &t7Spy{
+	spawn(sys, 1, "spy", spyCPU, &t7Spy{
 		windows: windows, setOrder: setOrder, obs: obs,
 	})
 
 	return sys, func(rep kernel.Report) Row {
-		labels, vals := o.label(syms, obs, 6)
-		est, err := o.estimateLabelled(labels, vals, 16, seed^0x7777)
+		labels, vals := cc.label(syms, obs, 6)
+		est, err := cc.estimateLabelled(labels, vals, 16, seed^0x7777)
 		if err != nil {
 			panic(err)
 		}
@@ -211,7 +210,7 @@ func buildSMT(label string, prot core.Config, coResident bool, windows int, seed
 
 // runSMT runs one T7 configuration.
 func runSMT(cc *CellContext, label string, prot core.Config, coResident bool, windows int, seed uint64) Row {
-	sys, finish := buildSMT(label, prot, coResident, windows, seed, execOpt{cc: cc})
+	sys, finish := buildSMT(label, prot, coResident, windows, seed, cc)
 	return finish(mustRun(sys))
 }
 

@@ -150,40 +150,39 @@ func (s *t14Spy) Step(m *kernel.Machine) kernel.Status {
 }
 
 // buildTLBChannel constructs one T14 configuration.
-func buildTLBChannel(label string, prot core.Config, rounds int, seed uint64, o execOpt) (*kernel.System, func(kernel.Report) Row) {
+func buildTLBChannel(label string, prot core.Config, rounds int, seed uint64, cc *CellContext) (*kernel.System, func(kernel.Report) Row) {
 	pcfg := platform.DefaultConfig()
 	pcfg.Cores = 1
 
 	sys, err := kernel.NewSystem(kernel.SystemConfig{
 		Platform:   pcfg,
-		Pool:       o.sysPool(),
+		Pool:       cc.pool,
 		Protection: prot,
 		Domains: []core.DomainSpec{
 			{Name: "Hi", SliceCycles: t14Slice, PadCycles: t14Pad, Colors: mem.ColorRange(1, 32), CodePages: 4, HeapPages: 80},
 			{Name: "Lo", SliceCycles: t14Slice, PadCycles: t14Pad, Colors: mem.ColorRange(32, 64), CodePages: 4, HeapPages: 16},
 		},
-		Schedule:    [][]int{{0, 1}},
-		EnableTrace: o.trace,
-		MaxCycles:   uint64(rounds+16) * (t14Slice + t14Pad + 60_000) * 2,
+		Schedule:  [][]int{{0, 1}},
+		MaxCycles: uint64(rounds+16) * (t14Slice + t14Pad + 60_000) * 2,
 	})
 	if err != nil {
 		panic(fmt.Sprintf("attacks: T14 %s: %v", label, err))
 	}
 
-	seq := o.symbolSeq(rounds+8, t14Arity, seed)
-	syms := o.symLog()
-	obs := o.obsLog()
+	seq := cc.symbolSeq(rounds+8, t14Arity, seed)
+	syms := &cc.syms
+	obs := &cc.obs
 
-	o.spawn(sys, 0, "trojan", 0, &t14Trojan{
+	spawn(sys, 0, "trojan", 0, &t14Trojan{
 		rounds: rounds, seq: seq, syms: syms, spin: epochSpin{burn: 180},
 	})
-	o.spawn(sys, 1, "spy", 0, &t14Spy{
+	spawn(sys, 1, "spy", 0, &t14Spy{
 		rounds: rounds, obs: obs, spin: epochSpin{burn: 180},
 	})
 
 	return sys, func(rep kernel.Report) Row {
-		labels, vals := o.label(syms, obs, 3)
-		est, err := o.estimateLabelled(labels, vals, 16, seed^0x71B)
+		labels, vals := cc.label(syms, obs, 3)
+		est, err := cc.estimateLabelled(labels, vals, 16, seed^0x71B)
 		if err != nil {
 			panic(err)
 		}
@@ -193,7 +192,7 @@ func buildTLBChannel(label string, prot core.Config, rounds int, seed uint64, o 
 
 // runTLBChannel runs one T14 configuration.
 func runTLBChannel(cc *CellContext, label string, prot core.Config, rounds int, seed uint64) Row {
-	sys, finish := buildTLBChannel(label, prot, rounds, seed, execOpt{cc: cc})
+	sys, finish := buildTLBChannel(label, prot, rounds, seed, cc)
 	return finish(mustRun(sys))
 }
 

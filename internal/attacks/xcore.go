@@ -142,7 +142,7 @@ func t17Groups(sys *kernel.System) (spyG, trojG [t17Arity][]int) {
 
 // buildXCore constructs one T17 configuration: Trojan and spy
 // co-resident forever on separate cores.
-func buildXCore(label string, prot core.Config, rounds int, seed uint64, o execOpt) (*kernel.System, func(kernel.Report) Row) {
+func buildXCore(label string, prot core.Config, rounds int, seed uint64, cc *CellContext) (*kernel.System, func(kernel.Report) Row) {
 	pcfg := platform.DefaultConfig()
 	pcfg.Cores = 2
 	pcfg.LLCSets = 512 // 256 KiB, 8 colours
@@ -151,38 +151,37 @@ func buildXCore(label string, prot core.Config, rounds int, seed uint64, o execO
 
 	sys, err := kernel.NewSystem(kernel.SystemConfig{
 		Platform:   pcfg,
-		Pool:       o.sysPool(),
+		Pool:       cc.pool,
 		Protection: prot,
 		Domains: []core.DomainSpec{
 			{Name: "Hi", SliceCycles: 400_000, PadCycles: 20_000, Colors: mem.ColorRange(1, 4), CodePages: 4, HeapPages: 128},
 			{Name: "Lo", SliceCycles: 400_000, PadCycles: 20_000, Colors: mem.ColorRange(4, 8), CodePages: 4, HeapPages: 64},
 		},
-		Schedule:    [][]int{{1}, {0}}, // Lo on core 0, Hi on core 1
-		EnableTrace: o.trace,
-		MaxCycles:   uint64(rounds+8)*t17WindowLen + 8_000_000,
+		Schedule:  [][]int{{1}, {0}}, // Lo on core 0, Hi on core 1
+		MaxCycles: uint64(rounds+8)*t17WindowLen + 8_000_000,
 	})
 	if err != nil {
 		panic(fmt.Sprintf("attacks: T17 %s: %v", label, err))
 	}
 
 	spyG, trojG := t17Groups(sys)
-	seq := o.symbolSeq(rounds+8, t17Arity, seed)
-	syms := o.symLog()
-	obs := o.obsLog()
-	lineOrder := o.shuffledOffsets(hw.LinesPerPage, 2, seed^0x17B)
+	seq := cc.symbolSeq(rounds+8, t17Arity, seed)
+	syms := &cc.syms
+	obs := &cc.obs
+	lineOrder := cc.shuffledOffsets(hw.LinesPerPage, 2, seed^0x17B)
 
-	o.spawn(sys, 0, "trojan", 1, &windowedThrasher{
+	spawn(sys, 0, "trojan", 1, &windowedThrasher{
 		windows: rounds, windowLen: t17WindowLen,
 		seq: seq, groups: trojG[:], lineOrder: lineOrder, syms: syms,
 	})
-	o.spawn(sys, 1, "spy", 0, &t17Spy{
+	spawn(sys, 1, "spy", 0, &t17Spy{
 		windows: rounds, windowLen: t17WindowLen,
 		groups: spyG, lineOrder: lineOrder, obs: obs,
 	})
 
 	return sys, func(rep kernel.Report) Row {
-		labels, vals := o.label(syms, obs, 6)
-		row := o.decodePairs(label, labels, vals, seed^0x1717)
+		labels, vals := cc.label(syms, obs, 6)
+		row := cc.decodePairs(label, labels, vals, seed^0x1717)
 		row.SimOps = rep.Ops
 		return row
 	}
@@ -190,7 +189,7 @@ func buildXCore(label string, prot core.Config, rounds int, seed uint64, o execO
 
 // runXCore runs one T17 configuration.
 func runXCore(cc *CellContext, label string, prot core.Config, rounds int, seed uint64) Row {
-	sys, finish := buildXCore(label, prot, rounds, seed, execOpt{cc: cc})
+	sys, finish := buildXCore(label, prot, rounds, seed, cc)
 	return finish(mustRun(sys))
 }
 

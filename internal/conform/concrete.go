@@ -435,28 +435,19 @@ type ConcreteResult struct {
 	SimOps uint64
 }
 
-// BuildOpts selects the execution path and tracing of a concrete
-// conformance run; the zero value is the production setting. The
-// equivalence tests flip Legacy to drive the identical programs through
-// the goroutine adapter and Trace to compare event logs bit for bit.
-// Pool and Cov are the discovery fuzzer's hooks: a machine pool for
+// BuildOpts carries a concrete run's optional hooks: a machine pool for
 // construction reuse and a coverage map attached to the cores for the
-// duration of the run — both invisible to every measured cycle.
+// duration of the run — both invisible to every measured cycle. The zero
+// value builds a fresh machine and records no coverage.
 type BuildOpts struct {
-	Legacy bool
-	Trace  bool
-	Pool   *platform.Pool
-	Cov    *cover.Map
+	Pool *platform.Pool
+	Cov  *cover.Map
 }
 
-func (o BuildOpts) spawn(sys *kernel.System, domain int, name string, cpu int, p kernel.Program) {
-	var err error
-	if o.Legacy {
-		_, err = sys.Spawn(domain, name, cpu, kernel.ReplayProgram(p))
-	} else {
-		_, err = sys.SpawnProgram(domain, name, cpu, p)
-	}
-	if err != nil {
+// spawn adds a harness program to sys; a layout that cannot host it is
+// a construction bug.
+func spawn(sys *kernel.System, domain int, name string, cpu int, p kernel.Program) {
+	if _, err := sys.SpawnProgram(domain, name, cpu, p); err != nil {
 		panic(err)
 	}
 }
@@ -489,13 +480,12 @@ func BuildConcrete(prot core.Config, pair Pair, p Params, seed uint64, o BuildOp
 	}
 
 	sys, err := kernel.NewSystem(kernel.SystemConfig{
-		Platform:    pcfg,
-		Protection:  prot,
-		Domains:     domains,
-		Schedule:    schedule,
-		EnableTrace: o.Trace,
-		MaxCycles:   uint64(p.Rounds+16) * perRound * 2,
-		Pool:        o.Pool,
+		Platform:   pcfg,
+		Protection: prot,
+		Domains:    domains,
+		Schedule:   schedule,
+		MaxCycles:  uint64(p.Rounds+16) * perRound * 2,
+		Pool:       o.Pool,
 	})
 	if err != nil {
 		panic(fmt.Sprintf("conform: %v", err))
@@ -509,13 +499,13 @@ func BuildConcrete(prot core.Config, pair Pair, p Params, seed uint64, o BuildOp
 	decL, latL, startL, gapL := &attacks.ObsLog{}, &attacks.ObsLog{}, &attacks.ObsLog{}, &attacks.ObsLog{}
 	setOrder := shuffledSets(p.SetsPerGroup, seed^0xA0)
 
-	o.spawn(sys, 0, "trojan", 0, &trojan{
+	spawn(sys, 0, "trojan", 0, &trojan{
 		p: p, seq: seq,
 		progs: [2][]cop{compile(p, pair.HiA, setOrder), compile(p, pair.HiB, setOrder)},
 		syms:  syms,
 		spin:  spin{burn: spinBurn},
 	})
-	o.spawn(sys, 1, "spy", 0, &spy{
+	spawn(sys, 1, "spy", 0, &spy{
 		p: p, dec: decL, lat: latL, start: startL, gap: gapL,
 		prb:  probe{p: p, setOrder: setOrder},
 		spin: spin{burn: spinBurn},
@@ -525,7 +515,7 @@ func BuildConcrete(prot core.Config, pair Pair, p Params, seed uint64, o BuildOp
 		// for both symbols (so it cannot carry the secret) and a
 		// throwaway symbol log the estimators never see.
 		nprog := compile(p, pair.Noise, setOrder)
-		o.spawn(sys, 2, "noise", 0, &trojan{
+		spawn(sys, 2, "noise", 0, &trojan{
 			p: p, seq: make([]int, p.Rounds+8),
 			progs:  [2][]cop{nprog, nprog},
 			syms:   &attacks.SymLog{},
@@ -569,17 +559,17 @@ func shuffledSets(n int, seed uint64) []int {
 	return rng.New(seed).Perm(n)
 }
 
-// MeasureConcrete runs the concrete side of one conformance cell.
+// MeasureConcrete runs the concrete side of one conformance cell on a
+// fresh cell context.
 func MeasureConcrete(prot core.Config, pair Pair, p Params, seed uint64) ConcreteResult {
-	return MeasureConcreteIn(nil, prot, pair, p, seed, nil)
+	return MeasureConcreteIn(attacks.NewCellContext(), prot, pair, p, seed, nil)
 }
 
 // MeasureConcreteIn is MeasureConcrete on a per-worker arena: machine
 // construction comes from the context's pool and, when cov is non-nil,
 // the run's microarchitectural transitions are recorded into it. Both
 // are invisible to the measurement — the result is bit-identical to
-// MeasureConcrete for the same inputs (nil context and nil cov degrade
-// to exactly that path).
+// MeasureConcrete for the same inputs.
 func MeasureConcreteIn(cc *attacks.CellContext, prot core.Config, pair Pair, p Params, seed uint64, cov *cover.Map) ConcreteResult {
 	cc.BeginRun()
 	defer cc.EndRun()

@@ -62,9 +62,9 @@ func adaptiveLadder(c Cell) []int {
 // otherwise. The returned row carries the effective rounds of the
 // converged rung (Rounds), the total rounds simulated across all
 // executed rungs (RoundsRun), and the summed simulated ops. cc is the
-// worker's reusable cell context (nil = fresh allocations); results are
-// bit-identical either way, and each rung releases its pooled machine
-// back to the context before the next rung runs.
+// worker's reusable cell context; results are bit-identical to a fresh
+// context, and each rung releases its pooled machine back to the
+// context before the next rung runs.
 func runVariant(sc attacks.Scenario, v attacks.Variant, c Cell, cc *attacks.CellContext) attacks.Row {
 	if !c.Adaptive() {
 		return v.RunIn(cc, c.Rounds, c.Seed)

@@ -32,8 +32,8 @@ func cellRepr(t *testing.T, res CellResult) string {
 }
 
 // TestPooledCellMatchesFresh runs representative cells through runCell
-// twice — once context-free, once on a context already dirtied by every
-// previous cell — and asserts identical results.
+// twice — once on a fresh context, once on a context already dirtied by
+// every previous cell — and asserts identical results.
 func TestPooledCellMatchesFresh(t *testing.T) {
 	cells, err := (Spec{
 		Scenarios: []string{"T2", "T9", "T11", "T16", "T17"},
@@ -45,7 +45,7 @@ func TestPooledCellMatchesFresh(t *testing.T) {
 	}
 	cc := attacks.NewCellContext()
 	for _, c := range cells {
-		fresh := cellRepr(t, runCell(nil, c))
+		fresh := cellRepr(t, runCell(attacks.NewCellContext(), c))
 		pooled := cellRepr(t, runCell(cc, c))
 		if fresh != pooled {
 			t.Errorf("%s/%s: pooled cell differs from fresh\nfresh:  %s\npooled: %s",

@@ -331,7 +331,7 @@ func Run(spec Spec, opt Options) (*Report, error) {
 			// Each worker owns one reusable cell context: machines,
 			// logs, and scratch are recycled across its cells. Contexts
 			// are never shared, so results stay deterministic and
-			// bit-identical to context-free execution.
+			// bit-identical to execution on a fresh context.
 			cc := attacks.NewCellContext()
 			for i := range jobs {
 				results[i] = runCell(cc, cells[i])

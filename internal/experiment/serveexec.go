@@ -28,9 +28,9 @@ func ProofKey(c ProofCell) store.Key { return proofCellKey(c) }
 func ConformKey(c ConformanceCell) store.Key { return conformCellKey(c) }
 
 // ExecuteCell executes one attack cell on the given reusable context
-// (nil cc runs the fresh, context-free path) and returns the measured
-// row — the exact value Run writes to the store. Runner panics surface
-// as errors; a failed cell has no row and must not be cached.
+// and returns the measured row — the exact value Run writes to the
+// store. Runner panics surface as errors; a failed cell has no row and
+// must not be cached.
 func ExecuteCell(cc *attacks.CellContext, c Cell) (attacks.Row, error) {
 	res := runCell(cc, c)
 	if res.Err != "" {

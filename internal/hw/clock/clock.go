@@ -18,8 +18,8 @@ type Clock struct {
 }
 
 // Now returns the current cycle count. This is the simulated analogue of
-// a cycle-accurate timestamp counter (rdtsc); user code reads it through
-// the kernel's UserCtx.Now.
+// a cycle-accurate timestamp counter (rdtsc); user programs read it by
+// issuing the kernel's Machine.Now.
 func (c *Clock) Now() uint64 { return c.cycles }
 
 // Advance moves the clock forward by n cycles and returns the new time.

@@ -2,7 +2,6 @@ package kernel
 
 import (
 	"testing"
-	"time"
 
 	"timeprot/internal/core"
 	"timeprot/internal/hw"
@@ -11,12 +10,10 @@ import (
 )
 
 // Engine microbenchmarks: the simulation cost (host ns per simulated
-// operation) of instruction streams and the domain-switch protocol,
-// under the direct Program path and the legacy goroutine+UserCtx
-// adapter. The direct/legacy ratio is the payoff of the
-// direct-execution model — the refactor's acceptance bar is >= 3x on
-// instruction streams. The "simops/s" metric is simulated operations
-// per wall-clock second.
+// operation) of instruction streams and of the domain-switch protocol.
+// The "simops/s" metric is simulated operations per wall-clock second.
+// The "Direct" names date from when a second, goroutine-based
+// execution path existed; external tooling runs them by name.
 
 // streamKind selects the benchmarked instruction stream.
 type streamKind int
@@ -27,8 +24,8 @@ const (
 	streamNow
 )
 
-// streamProgram issues n operations of one kind — the direct-execution
-// benchmark workload.
+// streamProgram issues n operations of one kind — the benchmark
+// workload.
 type streamProgram struct {
 	kind streamKind
 	n    int
@@ -47,22 +44,6 @@ func (p *streamProgram) Step(m *Machine) Status {
 		return m.Compute(50)
 	default:
 		return m.Now()
-	}
-}
-
-// streamFn is the identical workload as a legacy thread function.
-func streamFn(kind streamKind, n int) func(*UserCtx) {
-	return func(c *UserCtx) {
-		for i := 1; i <= n; i++ {
-			switch kind {
-			case streamRead:
-				c.ReadHeap(uint64(i%256) * hw.LineSize)
-			case streamCompute:
-				c.Compute(50)
-			default:
-				c.Now()
-			}
-		}
 	}
 }
 
@@ -88,15 +69,9 @@ func streamSystem(b testing.TB, maxOps int) *System {
 	return sys
 }
 
-func benchStream(b *testing.B, kind streamKind, direct bool) {
+func benchStream(b *testing.B, kind streamKind) {
 	sys := streamSystem(b, b.N)
-	var err error
-	if direct {
-		_, err = sys.SpawnProgram(0, "stream", 0, &streamProgram{kind: kind, n: b.N})
-	} else {
-		_, err = sys.Spawn(0, "stream", 0, streamFn(kind, b.N))
-	}
-	if err != nil {
+	if _, err := sys.SpawnProgram(0, "stream", 0, &streamProgram{kind: kind, n: b.N}); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
@@ -116,12 +91,9 @@ func benchStream(b *testing.B, kind streamKind, direct bool) {
 	}
 }
 
-func BenchmarkDirectRead(b *testing.B)    { benchStream(b, streamRead, true) }
-func BenchmarkLegacyRead(b *testing.B)    { benchStream(b, streamRead, false) }
-func BenchmarkDirectCompute(b *testing.B) { benchStream(b, streamCompute, true) }
-func BenchmarkLegacyCompute(b *testing.B) { benchStream(b, streamCompute, false) }
-func BenchmarkDirectNow(b *testing.B)     { benchStream(b, streamNow, true) }
-func BenchmarkLegacyNow(b *testing.B)     { benchStream(b, streamNow, false) }
+func BenchmarkDirectRead(b *testing.B)    { benchStream(b, streamRead) }
+func BenchmarkDirectCompute(b *testing.B) { benchStream(b, streamCompute) }
+func BenchmarkDirectNow(b *testing.B)     { benchStream(b, streamNow) }
 
 // computeProgram burns fixed-size compute chunks forever; the slice
 // preemptions between two such programs drive the full padded
@@ -136,9 +108,10 @@ func (p *computeProgram) Step(m *Machine) Status {
 	return m.Compute(400)
 }
 
-// benchSwitch measures one full domain-switch cycle (two switches: A->B
-// and B->A, including flush and padding) per iteration pair.
-func benchSwitch(b *testing.B, direct bool) {
+// BenchmarkDirectDomainSwitch measures one full domain-switch cycle
+// (two switches: A->B and B->A, including flush and padding) per
+// iteration pair.
+func BenchmarkDirectDomainSwitch(b *testing.B) {
 	pcfg := platform.DefaultConfig()
 	pcfg.Cores = 1
 	sys, err := NewSystem(SystemConfig{
@@ -155,17 +128,7 @@ func benchSwitch(b *testing.B, direct bool) {
 		b.Fatal(err)
 	}
 	for d, name := range []string{"a", "b"} {
-		if direct {
-			_, err = sys.SpawnProgram(d, name, 0, &computeProgram{n: b.N})
-		} else {
-			n := b.N
-			_, err = sys.Spawn(d, name, 0, func(c *UserCtx) {
-				for i := 0; i < n; i++ {
-					c.Compute(400)
-				}
-			})
-		}
-		if err != nil {
+		if _, err := sys.SpawnProgram(d, name, 0, &computeProgram{n: b.N}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -179,51 +142,4 @@ func benchSwitch(b *testing.B, direct bool) {
 		b.Fatal(rep.Errors)
 	}
 	b.ReportMetric(float64(rep.Switches)/float64(b.N), "switches/op")
-}
-
-func BenchmarkDirectDomainSwitch(b *testing.B) { benchSwitch(b, true) }
-func BenchmarkLegacyDomainSwitch(b *testing.B) { benchSwitch(b, false) }
-
-// TestDirectSpeedup is the acceptance gate for the direct-execution
-// refactor in test form: the direct path must sustain at least 3x the
-// legacy adapter's operation rate on an instruction stream. Benchmarks
-// give the precise number; this test fails loudly if the win regresses.
-func TestDirectSpeedup(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing comparison")
-	}
-	if raceEnabled {
-		t.Skip("race instrumentation distorts the direct/legacy timing ratio")
-	}
-	const ops = 300_000
-	rate := func(direct bool) float64 {
-		sys := streamSystem(t, ops)
-		var err error
-		if direct {
-			_, err = sys.SpawnProgram(0, "stream", 0, &streamProgram{kind: streamCompute, n: ops})
-		} else {
-			_, err = sys.Spawn(0, "stream", 0, streamFn(streamCompute, ops))
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		start := time.Now()
-		rep, err := sys.Run()
-		elapsed := time.Since(start).Seconds()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(rep.Errors) > 0 {
-			t.Fatal(rep.Errors)
-		}
-		return float64(rep.Ops) / elapsed
-	}
-	// Warm both paths once, then measure.
-	rate(true)
-	rate(false)
-	d, l := rate(true), rate(false)
-	t.Logf("direct %.0f ops/s, legacy %.0f ops/s, speedup %.1fx", d, l, d/l)
-	if d < 3*l {
-		t.Errorf("direct path %.0f ops/s is less than 3x legacy %.0f ops/s", d, l)
-	}
 }

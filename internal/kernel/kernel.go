@@ -9,12 +9,10 @@
 // a Program is a resumable step function the event loop (System.Run)
 // invokes inline, one operation per step, always advancing the logical
 // CPU with the lowest cycle clock. Blocking operations park the
-// thread's state struct, not a goroutine. The legacy goroutine+UserCtx
-// API survives as a compatibility adapter (one channel bridge per
-// legacy thread) implemented on top of Program; both paths execute the
-// same operation streams, and two runs of the same system with the
-// same seeds are cycle-identical — which is what makes two-run
-// comparisons meaningful on the concrete simulator.
+// thread's state struct, not a goroutine. This is the simulator's only
+// execution semantics, and two runs of the same system with the same
+// seeds are cycle-identical — which is what makes two-run comparisons
+// meaningful on the concrete simulator.
 package kernel
 
 import (
@@ -30,8 +28,9 @@ import (
 // kernel model's observable behaviour changes (scheduling, switch
 // sequence, mechanism semantics, WCET bounds); cached sweep cells keyed
 // under the old version then read as misses. Version 2 is the
-// direct-execution program model, proven trace-identical to version 1's
-// goroutine path by the execution-model equivalence tests.
+// direct-execution program model, which equivalence tests showed
+// trace-identical to version 1's goroutine execution before that path
+// was removed.
 const ModelVersion = "kernel/2"
 
 // Virtual address space layout (page numbers). Each domain has its own
@@ -164,7 +163,7 @@ func init() {
 
 // EndpointSpec declares a synchronous IPC endpoint.
 type EndpointSpec struct {
-	// ID is the endpoint's number, referenced by UserCtx.Send/Recv.
+	// ID is the endpoint's number, referenced by Machine.Send/Recv.
 	ID int
 	// MinDelivery, when nonzero and core.Config.MinDeliveryIPC is
 	// armed, makes a cross-domain message visible to the receiver no

@@ -36,13 +36,45 @@ func uniSys(t *testing.T, prot core.Config, eps []EndpointSpec) *System {
 	return sys
 }
 
-func mustSpawn(t *testing.T, s *System, dom int, name string, cpu int, fn func(*UserCtx)) *Thread {
+func mustSpawn(t *testing.T, s *System, dom int, name string, cpu int, p Program) *Thread {
 	t.Helper()
-	th, err := s.Spawn(dom, name, cpu, fn)
+	th, err := s.SpawnProgram(dom, name, cpu, p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return th
+}
+
+// loop is a program of up to n steps, the k-th (from 0) taken by
+// step(m, k), after which it exits. A step sees the previous
+// operation's result through m and may end the program early by
+// returning Done.
+func loop(n int, step func(m *Machine, k int) Status) ProgramFunc {
+	k := 0
+	return func(m *Machine) Status {
+		if k == n {
+			return Done
+		}
+		k++
+		return step(m, k-1)
+	}
+}
+
+// computes is a program of n Compute(cycles) operations.
+func computes(n int, cycles uint64) ProgramFunc {
+	return loop(n, func(m *Machine, _ int) Status { return m.Compute(cycles) })
+}
+
+// seq runs programs one after another as a single program.
+func seq(ps ...Program) ProgramFunc {
+	return func(m *Machine) Status {
+		for ; len(ps) > 0; ps = ps[1:] {
+			if ps[0].Step(m) == Running {
+				return Running
+			}
+		}
+		return Done
+	}
 }
 
 func mustRun(t *testing.T, s *System) Report {
@@ -59,11 +91,7 @@ func mustRun(t *testing.T, s *System) Report {
 
 func TestSingleThreadComputeRuns(t *testing.T) {
 	s := uniSys(t, core.FullProtection(), nil)
-	mustSpawn(t, s, 0, "worker", 0, func(c *UserCtx) {
-		for i := 0; i < 10; i++ {
-			c.Compute(100)
-		}
-	})
+	mustSpawn(t, s, 0, "worker", 0, computes(10, 100))
 	rep := mustRun(t, s)
 	if rep.ThreadCycles["worker"] == 0 {
 		t.Fatal("worker consumed no cycles")
@@ -76,10 +104,17 @@ func TestSingleThreadComputeRuns(t *testing.T) {
 func TestReadWriteLatenciesReflectCacheState(t *testing.T) {
 	s := uniSys(t, core.NoProtection(), nil)
 	var cold, hot uint64
-	mustSpawn(t, s, 0, "w", 0, func(c *UserCtx) {
-		cold = c.ReadHeap(0)
-		hot = c.ReadHeap(0)
-	})
+	mustSpawn(t, s, 0, "w", 0, loop(3, func(m *Machine, k int) Status {
+		switch k {
+		case 0:
+			return m.ReadHeap(0)
+		case 1:
+			cold = m.Latency()
+			return m.ReadHeap(0)
+		}
+		hot = m.Latency()
+		return Done
+	}))
 	mustRun(t, s)
 	if hot >= cold {
 		t.Fatalf("hot=%d cold=%d: cache has no effect", hot, cold)
@@ -88,16 +123,8 @@ func TestReadWriteLatenciesReflectCacheState(t *testing.T) {
 
 func TestDomainSwitchesHappen(t *testing.T) {
 	s := uniSys(t, core.FullProtection(), nil)
-	mustSpawn(t, s, 0, "hi", 0, func(c *UserCtx) {
-		for i := 0; i < 2000; i++ {
-			c.Compute(50)
-		}
-	})
-	mustSpawn(t, s, 1, "lo", 0, func(c *UserCtx) {
-		for i := 0; i < 2000; i++ {
-			c.Compute(50)
-		}
-	})
+	mustSpawn(t, s, 0, "hi", 0, computes(2000, 50))
+	mustSpawn(t, s, 1, "lo", 0, computes(2000, 50))
 	rep := mustRun(t, s)
 	if rep.Switches < 4 {
 		t.Fatalf("only %d switches", rep.Switches)
@@ -112,21 +139,9 @@ func TestDomainSwitchesHappen(t *testing.T) {
 // constant, independent of how many lines the first domain dirtied.
 func TestPaddedSwitchConstantDispatch(t *testing.T) {
 	s := uniSys(t, core.FullProtection(), nil)
-	mustSpawn(t, s, 0, "trojan", 0, func(c *UserCtx) {
-		// Vary dirty-line count wildly across slices.
-		for round := 0; round < 12; round++ {
-			n := uint64(1 + (round%4)*120)
-			for i := uint64(0); i < n; i++ {
-				c.WriteHeap((i * 64) % c.HeapBytes())
-			}
-			c.Compute(3000)
-		}
-	})
-	mustSpawn(t, s, 1, "spy", 0, func(c *UserCtx) {
-		for i := 0; i < 600; i++ {
-			c.Compute(100)
-		}
-	})
+	// Vary dirty-line count wildly across slices.
+	mustSpawn(t, s, 0, "trojan", 0, dirtyRounds(12, func(round int) int { return 1 + (round%4)*120 }, 3000))
+	mustSpawn(t, s, 1, "spy", 0, computes(600, 100))
 	mustRun(t, s)
 	var deltas []uint64
 	for _, e := range s.Trace().Filter(trace.SwitchEnd) {
@@ -152,26 +167,30 @@ func TestPaddedSwitchConstantDispatch(t *testing.T) {
 	}
 }
 
+// dirtyRounds is a program of rounds rounds, each dirtying lines(round)
+// heap lines and then computing for burn cycles.
+func dirtyRounds(rounds int, lines func(round int) int, burn uint64) ProgramFunc {
+	var ps []Program
+	for round := 0; round < rounds; round++ {
+		n := lines(round)
+		ps = append(ps, loop(n+1, func(m *Machine, i int) Status {
+			if i == n {
+				return m.Compute(burn)
+			}
+			return m.WriteHeap(uint64(i*64) % m.HeapBytes())
+		}))
+	}
+	return seq(ps...)
+}
+
 // TestUnpaddedSwitchLeaksDirtyCount is the ablation: flush without pad
 // makes the dispatch delta depend on the trojan's dirty lines.
 func TestUnpaddedSwitchLeaksDirtyCount(t *testing.T) {
 	cfg := core.FullProtection()
 	cfg.PadSwitch = false
 	s := uniSys(t, cfg, nil)
-	mustSpawn(t, s, 0, "trojan", 0, func(c *UserCtx) {
-		for round := 0; round < 12; round++ {
-			n := uint64(1 + (round%2)*400)
-			for i := uint64(0); i < n; i++ {
-				c.WriteHeap((i * 64) % c.HeapBytes())
-			}
-			c.Compute(2000)
-		}
-	})
-	mustSpawn(t, s, 1, "spy", 0, func(c *UserCtx) {
-		for i := 0; i < 600; i++ {
-			c.Compute(100)
-		}
-	})
+	mustSpawn(t, s, 0, "trojan", 0, dirtyRounds(12, func(round int) int { return 1 + (round%2)*400 }, 2000))
+	mustSpawn(t, s, 1, "spy", 0, computes(600, 100))
 	mustRun(t, s)
 	seen := make(map[uint64]bool)
 	for _, e := range s.Trace().Filter(trace.SwitchEnd) {
@@ -191,16 +210,8 @@ func TestEarlyYieldHiddenByPadding(t *testing.T) {
 	// before exiting — i.e. how early it gives up its first slice.
 	dispatchDeltas := func(prot core.Config, ops int) []uint64 {
 		s := uniSys(t, prot, nil)
-		mustSpawn(t, s, 0, "worker", 0, func(c *UserCtx) {
-			for i := 0; i < ops; i++ {
-				c.Compute(150)
-			}
-		})
-		mustSpawn(t, s, 1, "other", 0, func(c *UserCtx) {
-			for i := 0; i < 200; i++ {
-				c.Compute(100)
-			}
-		})
+		mustSpawn(t, s, 0, "worker", 0, computes(ops, 150))
+		mustSpawn(t, s, 1, "other", 0, computes(200, 100))
 		mustRun(t, s)
 		var out []uint64
 		for _, e := range s.Trace().Filter(trace.SwitchEnd) {
@@ -233,20 +244,21 @@ func TestFlushOnSwitchColdMissAfterSwitch(t *testing.T) {
 	readAfterSwitch := func(prot core.Config) uint64 {
 		s := uniSys(t, prot, nil)
 		var second uint64
-		mustSpawn(t, s, 1, "spy", 0, func(c *UserCtx) {
-			c.ReadHeap(0) // warm
-			// Burn the rest of the slice so the next read happens
-			// after Hi's slice (and a domain switch).
-			for i := 0; i < 40; i++ {
-				c.Compute(1000)
+		mustSpawn(t, s, 1, "spy", 0, loop(43, func(m *Machine, k int) Status {
+			switch {
+			case k == 0: // warm
+				return m.ReadHeap(0)
+			case k <= 40:
+				// Burn the rest of the slice so the next read
+				// happens after Hi's slice (and a domain switch).
+				return m.Compute(1000)
+			case k == 41:
+				return m.ReadHeap(0)
 			}
-			second = c.ReadHeap(0)
-		})
-		mustSpawn(t, s, 0, "hi", 0, func(c *UserCtx) {
-			for i := 0; i < 40; i++ {
-				c.Compute(1000)
-			}
-		})
+			second = m.Latency()
+			return Done
+		}))
+		mustSpawn(t, s, 0, "hi", 0, computes(40, 1000))
 		mustRun(t, s)
 		return second
 	}
@@ -260,15 +272,20 @@ func TestFlushOnSwitchColdMissAfterSwitch(t *testing.T) {
 func TestCrossDomainIPCMinDelivery(t *testing.T) {
 	eps := []EndpointSpec{{ID: 0, MinDelivery: 15000}}
 	s := uniSys(t, core.FullProtection(), eps)
-	mustSpawn(t, s, 0, "crypto", 0, func(c *UserCtx) {
-		c.Compute(2500) // fast, secret-dependent work finishes early
-		c.Send(0, 42)
-	})
+	mustSpawn(t, s, 0, "crypto", 0, loop(2, func(m *Machine, k int) Status {
+		if k == 0 {
+			return m.Compute(2500) // fast, secret-dependent work finishes early
+		}
+		return m.Send(0, 42)
+	}))
 	var got uint64
-	mustSpawn(t, s, 1, "net", 0, func(c *UserCtx) {
-		v, _ := c.Recv(0)
-		got = v
-	})
+	mustSpawn(t, s, 1, "net", 0, loop(2, func(m *Machine, k int) Status {
+		if k == 0 {
+			return m.Recv(0)
+		}
+		got = m.Value()
+		return Done
+	}))
 	mustRun(t, s)
 	if got != 42 {
 		t.Fatalf("payload = %d", got)
@@ -291,13 +308,13 @@ func TestCrossDomainIPCMinDelivery(t *testing.T) {
 func TestIPCMinDeliveryOverrunDetected(t *testing.T) {
 	eps := []EndpointSpec{{ID: 0, MinDelivery: 100}} // absurdly tight
 	s := uniSys(t, core.FullProtection(), eps)
-	mustSpawn(t, s, 0, "crypto", 0, func(c *UserCtx) {
-		c.Compute(5000)
-		c.Send(0, 1)
-	})
-	mustSpawn(t, s, 1, "net", 0, func(c *UserCtx) {
-		c.Recv(0)
-	})
+	mustSpawn(t, s, 0, "crypto", 0, loop(2, func(m *Machine, k int) Status {
+		if k == 0 {
+			return m.Compute(5000)
+		}
+		return m.Send(0, 1)
+	}))
+	mustSpawn(t, s, 1, "net", 0, loop(1, func(m *Machine, _ int) Status { return m.Recv(0) }))
 	mustRun(t, s)
 	if len(s.Trace().Filter(trace.PadOverrun)) == 0 {
 		t.Fatal("overrun of MinDelivery must be recorded")
@@ -307,12 +324,8 @@ func TestIPCMinDeliveryOverrunDetected(t *testing.T) {
 func TestIntraDomainIPCNotGated(t *testing.T) {
 	eps := []EndpointSpec{{ID: 0, MinDelivery: 15000}}
 	s := uniSys(t, core.FullProtection(), eps)
-	mustSpawn(t, s, 0, "a", 0, func(c *UserCtx) {
-		c.Send(0, 7)
-	})
-	mustSpawn(t, s, 0, "b", 0, func(c *UserCtx) {
-		c.Recv(0)
-	})
+	mustSpawn(t, s, 0, "a", 0, loop(1, func(m *Machine, _ int) Status { return m.Send(0, 7) }))
+	mustSpawn(t, s, 0, "b", 0, loop(1, func(m *Machine, _ int) Status { return m.Recv(0) }))
 	mustRun(t, s)
 	d := s.Trace().Filter(trace.IPCDeliver)
 	if len(d) != 1 {
@@ -326,19 +339,15 @@ func TestIntraDomainIPCNotGated(t *testing.T) {
 func TestIRQPartitioningDefersDelivery(t *testing.T) {
 	deliveredDuring := func(prot core.Config) hw.DomainID {
 		s := uniSys(t, prot, nil)
-		mustSpawn(t, s, 0, "trojan", 0, func(c *UserCtx) {
-			// Fire the completion IRQ in the middle of Lo's next
-			// slice.
-			c.StartIO(0, 30000)
-			for i := 0; i < 100; i++ {
-				c.Compute(500)
+		mustSpawn(t, s, 0, "trojan", 0, loop(101, func(m *Machine, k int) Status {
+			if k == 0 {
+				// Fire the completion IRQ in the middle of Lo's
+				// next slice.
+				return m.StartIO(0, 30000)
 			}
-		})
-		mustSpawn(t, s, 1, "lo", 0, func(c *UserCtx) {
-			for i := 0; i < 100; i++ {
-				c.Compute(500)
-			}
-		})
+			return m.Compute(500)
+		}))
+		mustSpawn(t, s, 1, "lo", 0, computes(100, 500))
 		mustRun(t, s)
 		irqs := s.Trace().Filter(trace.IRQDeliver)
 		if len(irqs) == 0 {
@@ -356,9 +365,9 @@ func TestIRQPartitioningDefersDelivery(t *testing.T) {
 
 func TestStartIOOnForeignLineRejected(t *testing.T) {
 	s := uniSys(t, core.FullProtection(), nil)
-	mustSpawn(t, s, 0, "bad", 0, func(c *UserCtx) {
-		c.StartIO(1, 100) // line 1 belongs to Lo
-	})
+	mustSpawn(t, s, 0, "bad", 0, loop(1, func(m *Machine, _ int) Status {
+		return m.StartIO(1, 100) // line 1 belongs to Lo
+	}))
 	rep, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -370,9 +379,9 @@ func TestStartIOOnForeignLineRejected(t *testing.T) {
 
 func TestPageFaultReportedAsThreadError(t *testing.T) {
 	s := uniSys(t, core.FullProtection(), nil)
-	mustSpawn(t, s, 0, "fault", 0, func(c *UserCtx) {
-		c.Read(hw.Addr(0xdead << hw.PageBits))
-	})
+	mustSpawn(t, s, 0, "fault", 0, loop(1, func(m *Machine, _ int) Status {
+		return m.Read(hw.Addr(0xdead << hw.PageBits))
+	}))
 	rep, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -382,68 +391,77 @@ func TestPageFaultReportedAsThreadError(t *testing.T) {
 	}
 }
 
-func TestLegacyFaultDeliveredInBand(t *testing.T) {
-	// A fault reaches a legacy thread as a panic out of the faulting
-	// call, at fault time — so the function's own recovery can catch
-	// it and keep executing, exactly as before the Program refactor.
-	s := uniSys(t, core.FullProtection(), nil)
-	recovered := false
-	continued := false
-	mustSpawn(t, s, 0, "recoverer", 0, func(c *UserCtx) {
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					recovered = true
-				}
-			}()
-			c.Read(hw.Addr(0xdead << hw.PageBits))
-		}()
-		c.Compute(10)
-		continued = true
-	})
-	rep, err := s.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !recovered || !continued {
-		t.Fatalf("recovered=%v continued=%v, want both", recovered, continued)
-	}
-	if len(rep.Errors) != 0 {
-		t.Fatalf("a recovered fault must not be reported: %v", rep.Errors)
-	}
-}
-
-// faultProgram reads an unmapped page; a direct program cannot recover
-// a fault, so the engine must kill the thread and report it.
-type faultProgram struct{ stepped bool }
-
-func (p *faultProgram) Step(m *Machine) Status {
-	if p.stepped {
-		return Done
-	}
-	p.stepped = true
-	return m.Read(hw.Addr(0xdead << hw.PageBits))
-}
-
+// TestDirectFaultReportedAsThreadError: a faulting operation ends its
+// program — Step is never called again, so a program can neither
+// observe nor recover from a fault — and the run reports the fault.
 func TestDirectFaultReportedAsThreadError(t *testing.T) {
 	s := uniSys(t, core.FullProtection(), nil)
-	if _, err := s.SpawnProgram(0, "fault", 0, &faultProgram{}); err != nil {
-		t.Fatal(err)
-	}
+	steps := 0
+	th := mustSpawn(t, s, 0, "fault", 0, ProgramFunc(func(m *Machine) Status {
+		steps++
+		if steps == 1 {
+			return m.Read(hw.Addr(0xdead << hw.PageBits))
+		}
+		return m.Compute(10)
+	}))
 	rep, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
+	if steps != 1 || th.State() != "exited" {
+		t.Fatalf("faulted program stepped %d times, state %s; want 1, exited", steps, th.State())
+	}
 	if len(rep.Errors) != 1 || !strings.Contains(rep.Errors[0].Error(), "page fault") {
 		t.Fatalf("errors = %v", rep.Errors)
+	}
+}
+
+// TestProgramContractFaults: each way a program can break the Step
+// contract faults its own thread with an exact message, and a second
+// thread on the same system still runs to completion.
+func TestProgramContractFaults(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		prog Program
+		want string
+		ops  uint64 // operations the run executes in total
+	}{
+		{"panic", loop(2, func(m *Machine, k int) Status {
+			if k == 1 {
+				panic("boom")
+			}
+			return m.Compute(10)
+		}), "kernel: thread bad panicked: boom", 51},
+		{"running-without-op", ProgramFunc(func(*Machine) Status { return Running }),
+			"kernel: thread bad panicked: program returned Running without issuing an operation", 50},
+		{"op-and-done", ProgramFunc(func(m *Machine) Status { m.Compute(1); return Done }),
+			"kernel: thread bad panicked: program issued an operation and returned Done", 50},
+		{"two-ops", ProgramFunc(func(m *Machine) Status { m.Compute(1); return m.Compute(1) }),
+			"kernel: thread bad panicked: kernel: program issued two operations in one step", 50},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := uniSys(t, core.FullProtection(), nil)
+			mustSpawn(t, s, 0, "bad", 0, tc.prog)
+			good := mustSpawn(t, s, 0, "good", 0, computes(50, 100))
+			rep, err := s.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rep.Errors) != 1 || rep.Errors[0].Error() != tc.want {
+				t.Fatalf("errors = %q, want exactly [%q]", rep.Errors, tc.want)
+			}
+			if good.State() != "exited" || rep.Ops != tc.ops || rep.Deadlocked || rep.HitMaxCycles {
+				t.Fatalf("second thread did not complete: state %s, ops %d, report %+v", good.State(), rep.Ops, rep)
+			}
+		})
 	}
 }
 
 func TestDeadlockDetected(t *testing.T) {
 	s := uniSys(t, core.FullProtection(), []EndpointSpec{{ID: 0}})
-	mustSpawn(t, s, 0, "waiter", 0, func(c *UserCtx) {
-		c.Recv(0) // nobody will ever send
-	})
+	mustSpawn(t, s, 0, "waiter", 0, loop(1, func(m *Machine, _ int) Status {
+		return m.Recv(0) // nobody will ever send
+	}))
 	rep, err := s.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -456,18 +474,12 @@ func TestDeadlockDetected(t *testing.T) {
 func TestYieldRoundRobinsWithinDomain(t *testing.T) {
 	s := uniSys(t, core.FullProtection(), nil)
 	var order []string
-	mustSpawn(t, s, 0, "a", 0, func(c *UserCtx) {
-		for i := 0; i < 3; i++ {
-			order = append(order, "a")
-			c.Yield()
-		}
-	})
-	mustSpawn(t, s, 0, "b", 0, func(c *UserCtx) {
-		for i := 0; i < 3; i++ {
-			order = append(order, "b")
-			c.Yield()
-		}
-	})
+	for _, name := range []string{"a", "b"} {
+		mustSpawn(t, s, 0, name, 0, loop(3, func(m *Machine, _ int) Status {
+			order = append(order, name)
+			return m.Yield()
+		}))
+	}
 	mustRun(t, s)
 	want := "ababab"
 	var got strings.Builder
@@ -482,19 +494,22 @@ func TestYieldRoundRobinsWithinDomain(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	run := func() (Report, int, uint64) {
 		s := uniSys(t, core.FullProtection(), []EndpointSpec{{ID: 0, MinDelivery: 15000}})
-		mustSpawn(t, s, 0, "hi", 0, func(c *UserCtx) {
-			for i := uint64(0); i < 300; i++ {
-				c.WriteHeap((i * 128) % c.HeapBytes())
-				c.Branch(i%512, i%3 == 0)
+		mustSpawn(t, s, 0, "hi", 0, loop(601, func(m *Machine, k int) Status {
+			i := uint64(k / 2)
+			switch {
+			case k == 600:
+				return m.Send(0, 99)
+			case k%2 == 0:
+				return m.WriteHeap((i * 128) % m.HeapBytes())
 			}
-			c.Send(0, 99)
-		})
-		mustSpawn(t, s, 1, "lo", 0, func(c *UserCtx) {
-			for i := uint64(0); i < 300; i++ {
-				c.ReadHeap((i * 64) % c.HeapBytes())
+			return m.Branch(i%512, i%3 == 0)
+		}))
+		mustSpawn(t, s, 1, "lo", 0, loop(301, func(m *Machine, k int) Status {
+			if k == 300 {
+				return m.Recv(0)
 			}
-			c.Recv(0)
-		})
+			return m.ReadHeap((uint64(k) * 64) % m.HeapBytes())
+		}))
 		rep := mustRun(t, s)
 		last := uint64(0)
 		if n := s.Trace().Len(); n > 0 {
@@ -512,15 +527,16 @@ func TestDeterminism(t *testing.T) {
 
 func TestSpawnValidation(t *testing.T) {
 	s := uniSys(t, core.FullProtection(), nil)
-	if _, err := s.Spawn(9, "x", 0, func(*UserCtx) {}); err == nil {
+	exit := ProgramFunc(func(*Machine) Status { return Done })
+	if _, err := s.SpawnProgram(9, "x", 0, exit); err == nil {
 		t.Error("unknown domain accepted")
 	}
-	if _, err := s.Spawn(0, "x", 5, func(*UserCtx) {}); err == nil {
+	if _, err := s.SpawnProgram(0, "x", 5, exit); err == nil {
 		t.Error("unknown CPU accepted")
 	}
-	mustSpawn(t, s, 0, "ok", 0, func(*UserCtx) {})
+	mustSpawn(t, s, 0, "ok", 0, exit)
 	mustRun(t, s)
-	if _, err := s.Spawn(0, "late", 0, func(*UserCtx) {}); err == nil {
+	if _, err := s.SpawnProgram(0, "late", 0, exit); err == nil {
 		t.Error("Spawn after Run accepted")
 	}
 	if _, err := s.Run(); err == nil {
@@ -620,16 +636,20 @@ func TestKernelEntryTouchesKernelText(t *testing.T) {
 	// syscall (cold kernel text) is slower than an immediately
 	// repeated one (warm).
 	s := uniSys(t, core.NoProtection(), []EndpointSpec{{ID: 0}})
-	var first, second uint64
-	mustSpawn(t, s, 0, "a", 0, func(c *UserCtx) {
-		t0 := c.Now()
-		c.StartIO(0, 1_000_000_000) // harmless far-future IO as a syscall probe
-		t1 := c.Now()
-		c.StartIO(0, 1_000_000_000)
-		t2 := c.Now()
-		first, second = t1-t0, t2-t1
-	})
+	var ts []uint64
+	mustSpawn(t, s, 0, "a", 0, loop(6, func(m *Machine, k int) Status {
+		switch k {
+		case 0, 2, 4:
+			return m.Now()
+		case 1, 3:
+			ts = append(ts, m.Time())
+			return m.StartIO(0, 1_000_000_000) // harmless far-future IO as a syscall probe
+		}
+		ts = append(ts, m.Time())
+		return Done
+	}))
 	mustRun(t, s)
+	first, second := ts[1]-ts[0], ts[2]-ts[1]
 	if second >= first {
 		t.Fatalf("kernel text caching invisible: first=%d second=%d", first, second)
 	}
@@ -637,14 +657,8 @@ func TestKernelEntryTouchesKernelText(t *testing.T) {
 
 func TestThreadCyclesAccounted(t *testing.T) {
 	s := uniSys(t, core.FullProtection(), nil)
-	mustSpawn(t, s, 0, "big", 0, func(c *UserCtx) {
-		for i := 0; i < 100; i++ {
-			c.Compute(1000)
-		}
-	})
-	mustSpawn(t, s, 0, "small", 0, func(c *UserCtx) {
-		c.Compute(10)
-	})
+	mustSpawn(t, s, 0, "big", 0, computes(100, 1000))
+	mustSpawn(t, s, 0, "small", 0, computes(1, 10))
 	rep := mustRun(t, s)
 	if rep.ThreadCycles["big"] <= rep.ThreadCycles["small"] {
 		t.Fatalf("cycle accounting wrong: %v", rep.ThreadCycles)

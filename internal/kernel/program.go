@@ -6,13 +6,9 @@ import (
 	"timeprot/internal/hw"
 )
 
-// This file is the direct-execution program model: the event loop runs
-// user programs by calling a step function inline — no goroutines, no
-// channel handoffs, no parking — which removes two scheduler crossings
-// per simulated instruction from the simulator's hot path. The legacy
-// goroutine+UserCtx API survives as a compatibility adapter (goBridge)
-// implemented on top of Program, so both execution paths share one
-// event loop and produce bit-identical traces.
+// This file is the program model, the simulator's one execution
+// semantics: the event loop runs user programs by calling a step
+// function inline — no goroutines, no channel handoffs, no parking.
 
 // Status is a program's answer to the scheduler after one step.
 type Status int
@@ -40,8 +36,9 @@ func (s Status) String() string {
 	}
 }
 
-// Program is a direct-execution user program: a resumable step function
-// over an explicit state struct of the implementer's choosing. The
+// Program is a user program: a resumable step function over explicit
+// state of the implementer's choosing — a struct, or the locals a
+// ProgramFunc closure captures. The
 // event loop calls Step inline each time the thread may execute one
 // operation; Step must either issue exactly one operation through the
 // Machine and return Running, or issue none and return Done.
@@ -49,16 +46,24 @@ func (s Status) String() string {
 // The result of the issued operation is available from the Machine's
 // accessors (Latency, Time, Value) at the NEXT Step call — programs are
 // written as small state machines that consume the previous result and
-// issue the next operation. Step is invoked at exactly the moments the
-// legacy goroutine path ran user code, so programs may share plain Go
-// state with the harness under the same lockstep guarantee UserCtx
-// programs enjoy.
+// issue the next operation. The event loop runs one Step at a time, so
+// programs may share plain Go state with each other and with the
+// harness: all user code is serialised in a deterministic order.
 //
 // A panic in Step faults the thread (recorded in the run report's
-// Errors), matching a panicking legacy thread function.
+// Errors), as does breaking the one-operation contract above.
 type Program interface {
 	Step(m *Machine) Status
 }
+
+// ProgramFunc adapts an ordinary function to the Program interface, in
+// the style of http.HandlerFunc: a closure over local counters is a
+// program. Such a closure carries its state, so build a fresh one for
+// each thread.
+type ProgramFunc func(m *Machine) Status
+
+// Step implements Program by calling f(m).
+func (f ProgramFunc) Step(m *Machine) Status { return f(m) }
 
 // Machine is the per-thread execution context handed to Program.Step:
 // the previous operation's result, the issue methods for the next
@@ -81,11 +86,11 @@ type Machine struct {
 }
 
 // Latency returns the previous operation's cost in cycles as the thread
-// observed it (the value UserCtx.Read and friends returned).
+// observed it: for a Read, the access latency an attacker times.
 func (m *Machine) Latency() uint64 { return m.res.latency }
 
 // Time returns the core clock at completion of the previous operation —
-// what UserCtx.Now returned, and the timestamp Recv deliveries carry.
+// the sample a Now reads, and the timestamp a Recv delivery carries.
 func (m *Machine) Time() uint64 { return m.res.now }
 
 // Value returns the previous operation's result value: the payload for
@@ -166,97 +171,3 @@ func (m *Machine) HeapAddr(off uint64) hw.Addr { return m.t.Domain.HeapAddr(off)
 
 // DomainName returns the owning domain's name.
 func (m *Machine) DomainName() string { return m.t.Domain.Spec.Name }
-
-// goBridge adapts a legacy thread function to the Program model: one
-// goroutine per legacy thread, parked on a channel pair. Step delivers
-// the previous result to the goroutine, lets the user code run to its
-// next UserCtx call, and issues the request it posted — so legacy
-// threads pay the two channel handoffs per instruction the direct path
-// eliminates, but behave identically otherwise.
-type goBridge struct {
-	sys *System
-	fn  func(*UserCtx)
-
-	req     chan request
-	resp    chan response
-	started bool
-}
-
-func newGoBridge(sys *System, fn func(*UserCtx)) *goBridge {
-	return &goBridge{
-		sys:  sys,
-		fn:   fn,
-		req:  make(chan request, 1),
-		resp: make(chan response, 1),
-	}
-}
-
-// Step implements Program by driving the bridged goroutine one
-// operation forward.
-func (b *goBridge) Step(m *Machine) Status {
-	if !b.started {
-		b.started = true
-		t := m.t
-		b.sys.wg.Add(1)
-		go func() {
-			defer b.sys.wg.Done()
-			b.run(t)
-		}()
-	}
-	b.resp <- m.res
-	// The user goroutine runs here, until it posts its next operation
-	// (a returning thread function posts opExit) — the same lockstep
-	// the old event loop enforced.
-	return m.issue(<-b.req)
-}
-
-// run is the bridged goroutine body: it executes the user function and
-// converts its termination (return or panic) into an exit request.
-func (b *goBridge) run(t *Thread) {
-	defer func() {
-		if r := recover(); r != nil {
-			if _, isKill := r.(killSentinel); isKill {
-				return // system shut down; do not touch channels
-			}
-			t.Err = fmt.Errorf("kernel: thread %s panicked: %v", t.Name, r)
-		}
-		b.req <- request{kind: opExit}
-	}()
-	// Run no user code until first dispatched: this keeps all user
-	// code serialised by the event loop, so programs (and tests) may
-	// safely share state across threads — ordering is deterministic.
-	var first response
-	select {
-	case first = <-b.resp:
-	case <-b.sys.killAll:
-		panic(killSentinel{})
-	}
-	ctx := &UserCtx{t: t, b: b, kill: b.sys.killAll, first: first}
-	b.fn(ctx)
-}
-
-// ReplayProgram adapts a Program to the legacy goroutine+UserCtx API by
-// interpreting its operation stream over a UserCtx — the inverse of the
-// goBridge. Both paths then execute the identical operation sequence,
-// which is what the execution-model equivalence tests exercise: spawn
-// the program directly on one system and replayed on another, and the
-// traces must match bit for bit.
-func ReplayProgram(p Program) func(*UserCtx) {
-	return func(c *UserCtx) {
-		m := &Machine{t: c.t, res: c.first}
-		for {
-			m.issued = false
-			st := p.Step(m)
-			if st == Done {
-				if m.issued {
-					panic("kernel: program issued an operation and returned Done")
-				}
-				return
-			}
-			if !m.issued {
-				panic("kernel: program returned Running without issuing an operation")
-			}
-			m.res = c.call(m.op)
-		}
-	}
-}

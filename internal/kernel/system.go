@@ -2,7 +2,6 @@ package kernel
 
 import (
 	"fmt"
-	"sync"
 
 	"timeprot/internal/core"
 	"timeprot/internal/hw"
@@ -87,9 +86,7 @@ type System struct {
 	threads    []*Thread
 	endpoints  map[int]*endpoint
 
-	log     *trace.Log
-	killAll chan struct{}
-	wg      sync.WaitGroup
+	log *trace.Log
 
 	// switchInspector, when set, is invoked during every domain switch
 	// right after the flush with the switching logical CPU's core; the
@@ -125,7 +122,6 @@ func NewSystem(scfg SystemConfig) (*System, error) {
 		machine:   m,
 		domains:   make(map[hw.DomainID]*Domain),
 		endpoints: make(map[int]*endpoint),
-		killAll:   make(chan struct{}),
 	}
 	if scfg.EnableTrace {
 		if scfg.TraceLog != nil {
@@ -227,16 +223,6 @@ func sameSchedule(a, b []hw.DomainID) bool {
 	return true
 }
 
-// Spawn adds a thread running the legacy thread function fn in domain
-// domainIdx, pinned to logical CPU cpuIdx. It must be called before
-// Run. Spawn is the compatibility adapter over the Program model: fn
-// runs on its own goroutine behind a channel bridge, which costs two
-// channel handoffs per instruction. New code — and anything
-// throughput-sensitive — should implement Program and use SpawnProgram.
-func (s *System) Spawn(domainIdx int, name string, cpuIdx int, fn func(*UserCtx)) (*Thread, error) {
-	return s.SpawnProgram(domainIdx, name, cpuIdx, newGoBridge(s, fn))
-}
-
 // SpawnProgram adds a thread running the direct-execution program p in
 // domain domainIdx, pinned to logical CPU cpuIdx. It must be called
 // before Run. The event loop steps p inline — no goroutine is created.
@@ -322,9 +308,6 @@ func (s *System) Run() (Report, error) {
 		s.step(st)
 	}
 	rep.Deadlocked = s.live > 0 && !rep.HitMaxCycles && s.noRunnableAnywhere()
-
-	close(s.killAll)
-	s.wg.Wait()
 
 	rep.CPUCycles = make([]uint64, len(s.cpus))
 	rep.ThreadCycles = make(map[string]uint64, len(s.threads))
@@ -475,24 +458,18 @@ func (s *System) step(st *cpuState) {
 
 // respondAndFetch delivers a response to t's program and immediately
 // fetches t's next operation by stepping the program inline. A faulted
-// response, a Done status, or a panic in the program all become a
-// synthetic exit operation, so the thread always makes progress towards
-// opExit; only t's program runs in between — the lockstep that makes
-// user code deterministic.
+// response, a Done status, a broken step contract, or a panic in the
+// program all become a synthetic exit operation, so the thread always
+// makes progress towards opExit; only t's program runs in between — the
+// lockstep that makes user code deterministic.
 func (s *System) respondAndFetch(t *Thread, resp response) {
 	if resp.err != nil {
-		if _, bridged := t.prog.(*goBridge); !bridged {
-			// A fault kills a direct program immediately; the engine
-			// records it exactly as the legacy unwinding would.
-			t.Err = fmt.Errorf("kernel: thread %s panicked: %v", t.Name, resp.err)
-			t.m.op = request{kind: opExit}
-			t.m.issued = true
-			return
-		}
-		// Legacy threads receive the fault in-band: UserCtx.call
-		// panics inside the user goroutine, so the function's defers
-		// (and any recovery) run at fault time, exactly as before the
-		// Program refactor.
+		// A fault kills the program: it cannot observe or recover
+		// from it.
+		t.Err = fmt.Errorf("kernel: thread %s panicked: %v", t.Name, resp.err)
+		t.m.op = request{kind: opExit}
+		t.m.issued = true
+		return
 	}
 	t.m.res = resp
 	t.m.issued = false
@@ -511,7 +488,7 @@ func (s *System) respondAndFetch(t *Thread, resp response) {
 }
 
 // stepProgram invokes the program's step function, converting a panic
-// into a thread fault (parity with a panicking legacy thread function).
+// into a thread fault.
 func (s *System) stepProgram(t *Thread) (st Status) {
 	defer func() {
 		if r := recover(); r != nil {

@@ -32,26 +32,33 @@ func TestThreeDomainRoundRobin(t *testing.T) {
 		t.Fatal(err)
 	}
 	const msgs = 5
-	mustSpawn(t, sys, 0, "web", 0, func(c *UserCtx) {
-		for i := uint64(0); i < msgs; i++ {
-			c.Compute(2_000)
-			c.Send(0, 100+i)
+	mustSpawn(t, sys, 0, "web", 0, loop(2*msgs, func(m *Machine, k int) Status {
+		if k%2 == 0 {
+			return m.Compute(2_000)
 		}
-	})
-	mustSpawn(t, sys, 1, "crypto", 0, func(c *UserCtx) {
-		for i := 0; i < msgs; i++ {
-			v, _ := c.Recv(0)
-			c.Compute(4_000) // "encrypt"
-			c.Send(1, v+1000)
+		return m.Send(0, 100+uint64(k/2))
+	}))
+	var v uint64
+	mustSpawn(t, sys, 1, "crypto", 0, loop(3*msgs, func(m *Machine, k int) Status {
+		switch k % 3 {
+		case 0:
+			return m.Recv(0)
+		case 1:
+			v = m.Value()
+			return m.Compute(4_000) // "encrypt"
 		}
-	})
+		return m.Send(1, v+1000)
+	}))
 	var got []uint64
-	mustSpawn(t, sys, 2, "net", 0, func(c *UserCtx) {
-		for i := 0; i < msgs; i++ {
-			v, _ := c.Recv(1)
-			got = append(got, v)
+	mustSpawn(t, sys, 2, "net", 0, loop(msgs+1, func(m *Machine, k int) Status {
+		if k > 0 {
+			got = append(got, m.Value())
 		}
-	})
+		if k == msgs {
+			return Done
+		}
+		return m.Recv(1)
+	}))
 	rep := mustRun(t, sys)
 	if rep.Deadlocked || rep.HitMaxCycles {
 		t.Fatalf("bad termination: %+v", rep)
@@ -90,21 +97,24 @@ func TestCrossCPUIPC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mustSpawn(t, sys, 0, "sender", 0, func(c *UserCtx) {
-		for i := uint64(0); i < 5; i++ {
-			c.Compute(1_000)
-			c.Send(0, i)
+	mustSpawn(t, sys, 0, "sender", 0, loop(10, func(m *Machine, k int) Status {
+		if k%2 == 0 {
+			return m.Compute(1_000)
 		}
-	})
+		return m.Send(0, uint64(k/2))
+	}))
 	var got []uint64
 	var times []uint64
-	mustSpawn(t, sys, 1, "receiver", 1, func(c *UserCtx) {
-		for i := 0; i < 5; i++ {
-			v, at := c.Recv(0)
-			got = append(got, v)
-			times = append(times, at)
+	mustSpawn(t, sys, 1, "receiver", 1, loop(6, func(m *Machine, k int) Status {
+		if k > 0 {
+			got = append(got, m.Value())
+			times = append(times, m.Time())
 		}
-	})
+		if k == 5 {
+			return Done
+		}
+		return m.Recv(0)
+	}))
 	rep := mustRun(t, sys)
 	if rep.Deadlocked {
 		t.Fatal("cross-CPU IPC deadlocked")
@@ -145,11 +155,9 @@ func TestSMTCoscheduledRuntime(t *testing.T) {
 	for cpu := 0; cpu < 2; cpu++ {
 		for d := 0; d < 2; d++ {
 			name := string(rune('a'+d)) + string(rune('0'+cpu))
-			mustSpawn(t, sys, d, name, cpu, func(c *UserCtx) {
-				for i := uint64(0); i < 300; i++ {
-					c.ReadHeap((i * 128) % c.HeapBytes())
-				}
-			})
+			mustSpawn(t, sys, d, name, cpu, loop(300, func(m *Machine, i int) Status {
+				return m.ReadHeap((uint64(i) * 128) % m.HeapBytes())
+			}))
 		}
 	}
 	rep := mustRun(t, sys)
@@ -166,22 +174,26 @@ func TestSMTCoscheduledRuntime(t *testing.T) {
 func TestEpochAdvancesPerSlice(t *testing.T) {
 	s := uniSys(t, core.FullProtection(), nil)
 	var epochs []uint64
-	mustSpawn(t, s, 0, "watcher", 0, func(c *UserCtx) {
-		last := c.Epoch()
-		epochs = append(epochs, last)
-		for len(epochs) < 4 {
-			if e := c.Epoch(); e != last {
+	steps := 0
+	mustSpawn(t, s, 0, "watcher", 0, ProgramFunc(func(m *Machine) Status {
+		steps++
+		switch {
+		case steps == 1:
+			return m.Epoch()
+		case steps == 2: // the first epoch arrived
+			epochs = append(epochs, m.Value())
+			return m.Epoch()
+		case steps%2 == 1: // a polled epoch arrived
+			if e := m.Value(); e != epochs[len(epochs)-1] {
 				epochs = append(epochs, e)
-				last = e
 			}
-			c.Compute(500)
+			return m.Compute(500)
+		case len(epochs) < 4:
+			return m.Epoch()
 		}
-	})
-	mustSpawn(t, s, 1, "other", 0, func(c *UserCtx) {
-		for i := 0; i < 400; i++ {
-			c.Compute(500)
-		}
-	})
+		return Done
+	}))
+	mustSpawn(t, s, 1, "other", 0, computes(400, 500))
 	mustRun(t, s)
 	for i := 1; i < len(epochs); i++ {
 		if epochs[i] != epochs[i-1]+1 {
@@ -207,11 +219,9 @@ func TestMaxCyclesStopsRunaway(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mustSpawn(t, sys, 0, "spinner", 0, func(c *UserCtx) {
-		for {
-			c.Compute(100)
-		}
-	})
+	mustSpawn(t, sys, 0, "spinner", 0, ProgramFunc(func(m *Machine) Status {
+		return m.Compute(100)
+	}))
 	rep, err := sys.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -225,12 +235,8 @@ func TestMaxCyclesStopsRunaway(t *testing.T) {
 // synthetic PC over the code pages without faulting.
 func TestUserFetchWrapsCodeRegion(t *testing.T) {
 	s := uniSys(t, core.FullProtection(), nil)
-	mustSpawn(t, s, 0, "wrapper", 0, func(c *UserCtx) {
-		// 4 code pages = 256 lines; run well past several wraps.
-		for i := 0; i < 1500; i++ {
-			c.Compute(10)
-		}
-	})
+	// 4 code pages = 256 lines; run well past several wraps.
+	mustSpawn(t, s, 0, "wrapper", 0, computes(1500, 10))
 	rep := mustRun(t, s)
 	if rep.ThreadCycles["wrapper"] == 0 {
 		t.Fatal("no progress")
@@ -275,11 +281,7 @@ func TestSingleDomainScheduleRenewsWithoutSwitch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mustSpawn(t, sys, 0, "solo", 0, func(c *UserCtx) {
-		for i := 0; i < 500; i++ {
-			c.Compute(200)
-		}
-	})
+	mustSpawn(t, sys, 0, "solo", 0, computes(500, 200))
 	rep := mustRun(t, sys)
 	if rep.Switches != 0 {
 		t.Fatalf("switches = %d, want 0", rep.Switches)

@@ -77,7 +77,7 @@ type response struct {
 
 // Thread is a schedulable execution context bound to a domain and a
 // logical CPU. Its program is a Program stepped inline by the event
-// loop; legacy thread functions run behind a goBridge Program.
+// loop.
 type Thread struct {
 	ID     ThreadID
 	Name   string
@@ -122,135 +122,3 @@ type Thread struct {
 
 // State returns the thread's scheduling state (for tests and reports).
 func (t *Thread) State() string { return t.state.String() }
-
-// killSentinel unwinds a bridged goroutine when the system shuts down.
-type killSentinel struct{}
-
-// UserCtx is the legacy interface thread functions use to interact with
-// the simulated machine, kept as a compatibility adapter over the
-// Program model: each method posts one operation through the thread's
-// goroutine bridge and parks until the event loop delivers the result.
-// Every method is an "instruction" whose latency is determined by the
-// microarchitectural state; the returned latencies and Now() values are
-// the only clocks available to the program — precisely the attacker's
-// observational power in the paper's threat model (§3).
-//
-// UserCtx methods must only be called from the thread's own goroutine.
-// Performance-sensitive programs should implement Program directly and
-// skip the two channel handoffs per instruction this adapter costs.
-type UserCtx struct {
-	t    *Thread
-	b    *goBridge
-	kill <-chan struct{}
-	// first is the dispatch response that started the thread, kept so
-	// ReplayProgram can seed its Machine exactly as the direct path
-	// does.
-	first response
-}
-
-// call posts a request and waits for the event loop's response.
-func (c *UserCtx) call(r request) response {
-	c.b.req <- r
-	select {
-	case resp := <-c.b.resp:
-		if resp.err != nil {
-			panic(resp.err)
-		}
-		return resp
-	case <-c.kill:
-		panic(killSentinel{})
-	}
-}
-
-// Read loads the byte at virtual address va and returns the access
-// latency in cycles — the prime-and-probe measurement primitive.
-func (c *UserCtx) Read(va hw.Addr) uint64 {
-	return c.call(request{kind: opRead, addr: va}).latency
-}
-
-// Write stores to virtual address va and returns the access latency.
-// Writes dirty cache lines, lengthening a later flush (§4.2).
-func (c *UserCtx) Write(va hw.Addr) uint64 {
-	return c.call(request{kind: opWrite, addr: va}).latency
-}
-
-// ReadHeap is Read at byte offset off within the domain's heap.
-func (c *UserCtx) ReadHeap(off uint64) uint64 {
-	return c.Read(c.t.Domain.HeapAddr(off))
-}
-
-// WriteHeap is Write at byte offset off within the domain's heap.
-func (c *UserCtx) WriteHeap(off uint64) uint64 {
-	return c.Write(c.t.Domain.HeapAddr(off))
-}
-
-// Compute spends n cycles of pure computation (no memory access beyond
-// the instruction fetch).
-func (c *UserCtx) Compute(n uint64) {
-	c.call(request{kind: opCompute, n: n})
-}
-
-// Now returns the core's cycle counter — the rdtsc analogue.
-func (c *UserCtx) Now() uint64 {
-	return c.call(request{kind: opNow}).now
-}
-
-// Branch executes a conditional branch at code offset pcOff with the
-// given outcome and returns its latency (1 cycle predicted, the
-// misprediction penalty otherwise).
-func (c *UserCtx) Branch(pcOff uint64, taken bool) uint64 {
-	return c.call(request{kind: opBranch, addr: c.t.Domain.CodeAddr(pcOff), taken: taken}).latency
-}
-
-// Send performs a synchronous IPC send of payload val on endpoint ep,
-// blocking until a receiver rendezvouses.
-func (c *UserCtx) Send(ep int, val uint64) {
-	c.call(request{kind: opSend, arg: ep, n: val})
-}
-
-// Recv performs a synchronous IPC receive on endpoint ep, blocking until
-// a message is delivered. It returns the payload and the cycle count at
-// delivery — the receiver's timing observation of the sender.
-func (c *UserCtx) Recv(ep int) (val uint64, at uint64) {
-	r := c.call(request{kind: opRecv, arg: ep})
-	return r.val, r.now
-}
-
-// StartIO programs the device on IRQ line to raise its completion
-// interrupt delay cycles from now — the Trojan's tool for the interrupt
-// channel (§4.2).
-func (c *UserCtx) StartIO(line int, delay uint64) {
-	c.call(request{kind: opStartIO, arg: line, n: delay})
-}
-
-// Yield gives up the CPU to the next ready thread of the same domain (an
-// intra-domain context switch: no flush, no padding — §4.2), or lets the
-// domain idle if none is ready.
-func (c *UserCtx) Yield() {
-	c.call(request{kind: opYield})
-}
-
-// Epoch returns the number of time slices this thread's domain has begun
-// on its CPU — the analogue of a cheap virtual counter an attacker would
-// calibrate from observed scheduling patterns. Attack harnesses use it to
-// align transmission rounds with slices; it carries no information beyond
-// what Now() already reveals.
-func (c *UserCtx) Epoch() uint64 {
-	return c.call(request{kind: opEpoch}).val
-}
-
-// NullSyscall performs a syscall that does nothing but enter and exit the
-// kernel — the probe for timing the kernel's own text (the kernel-image
-// channel, §4.2).
-func (c *UserCtx) NullSyscall() uint64 {
-	return c.call(request{kind: opNull}).latency
-}
-
-// HeapBytes returns the size of the domain's heap.
-func (c *UserCtx) HeapBytes() uint64 { return c.t.Domain.HeapBytes() }
-
-// HeapAddr resolves a heap offset to a virtual address.
-func (c *UserCtx) HeapAddr(off uint64) hw.Addr { return c.t.Domain.HeapAddr(off) }
-
-// DomainName returns the owning domain's name.
-func (c *UserCtx) DomainName() string { return c.t.Domain.Spec.Name }

@@ -52,22 +52,19 @@ func TestRecommendPadIsSufficient(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mustSpawn(t, sys, 0, "adversary", 0, func(c *UserCtx) {
-		for r := 0; r < 10; r++ {
-			c.StartIO(0, 30_000)
-			// Dirty as much as possible with page-crossing strides.
-			lines := c.HeapBytes() / 64
-			for i := uint64(0); i < lines; i++ {
-				c.WriteHeap(i * 64)
-			}
-			c.NullSyscall()
+	// Each round: start IO, dirty the whole heap with page-crossing
+	// strides, take a syscall.
+	lines := int(sys.Domains()[0].HeapBytes() / 64)
+	mustSpawn(t, sys, 0, "adversary", 0, loop(10*(lines+2), func(m *Machine, k int) Status {
+		switch j := k % (lines + 2); {
+		case j == 0:
+			return m.StartIO(0, 30_000)
+		case j <= lines:
+			return m.WriteHeap(uint64(j-1) * 64)
 		}
-	})
-	mustSpawn(t, sys, 1, "victim", 0, func(c *UserCtx) {
-		for i := 0; i < 3000; i++ {
-			c.Compute(150)
-		}
-	})
+		return m.NullSyscall()
+	}))
+	mustSpawn(t, sys, 1, "victim", 0, computes(3000, 150))
 	mustRun(t, sys)
 
 	if n := len(sys.Trace().Filter(trace.PadOverrun)); n != 0 {
@@ -123,19 +120,11 @@ func TestRecommendPadDominatesMeasuredWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mustSpawn(t, sys, 0, "dirtier", 0, func(c *UserCtx) {
-		lines := c.HeapBytes() / 64
-		for r := 0; r < 6; r++ {
-			for i := uint64(0); i < lines; i++ {
-				c.WriteHeap(i * 64)
-			}
-		}
-	})
-	mustSpawn(t, sys, 1, "other", 0, func(c *UserCtx) {
-		for i := 0; i < 2000; i++ {
-			c.Compute(150)
-		}
-	})
+	lines := int(sys.Domains()[0].HeapBytes() / 64)
+	mustSpawn(t, sys, 0, "dirtier", 0, loop(6*lines, func(m *Machine, k int) Status {
+		return m.WriteHeap(uint64(k%lines) * 64)
+	}))
+	mustSpawn(t, sys, 1, "other", 0, computes(2000, 150))
 	mustRun(t, sys)
 
 	starts := sys.Trace().Filter(trace.SwitchStart)

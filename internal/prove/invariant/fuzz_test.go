@@ -14,31 +14,32 @@ import (
 // randomProgram builds a deterministic pseudo-random thread program from
 // a seed: an arbitrary interleaving of reads, writes, computes, branches,
 // syscalls and interrupt programming.
-func randomProgram(seed uint64, steps int, irqLine int) func(*kernel.UserCtx) {
-	return func(c *kernel.UserCtx) {
-		r := rng.New(seed)
-		heap := c.HeapBytes()
-		for i := 0; i < steps; i++ {
-			switch r.Intn(8) {
-			case 0, 1:
-				c.ReadHeap(r.Uint64n(heap/64) * 64)
-			case 2, 3:
-				c.WriteHeap(r.Uint64n(heap/64) * 64)
-			case 4:
-				c.Compute(r.Uint64n(400) + 1)
-			case 5:
-				c.Branch(r.Uint64n(512), r.Bool())
-			case 6:
-				c.NullSyscall()
-			default:
-				if irqLine >= 0 {
-					c.StartIO(irqLine, r.Uint64n(100_000)+1_000)
-				} else {
-					c.Compute(50)
-				}
-			}
+func randomProgram(seed uint64, steps int, irqLine int) kernel.Program {
+	r := rng.New(seed)
+	i := 0
+	return kernel.ProgramFunc(func(m *kernel.Machine) kernel.Status {
+		if i == steps {
+			return kernel.Done
 		}
-	}
+		i++
+		heap := m.HeapBytes()
+		switch r.Intn(8) {
+		case 0, 1:
+			return m.ReadHeap(r.Uint64n(heap/64) * 64)
+		case 2, 3:
+			return m.WriteHeap(r.Uint64n(heap/64) * 64)
+		case 4:
+			return m.Compute(r.Uint64n(400) + 1)
+		case 5:
+			return m.Branch(r.Uint64n(512), r.Bool())
+		case 6:
+			return m.NullSyscall()
+		}
+		if irqLine >= 0 {
+			return m.StartIO(irqLine, r.Uint64n(100_000)+1_000)
+		}
+		return m.Compute(50)
+	})
 }
 
 // TestInvariantsHoldUnderRandomWorkloads is the property-based version of
@@ -65,10 +66,10 @@ func TestInvariantsHoldUnderRandomWorkloads(t *testing.T) {
 			t.Fatal(err)
 		}
 		fm := NewFlushMonitor(sys)
-		if _, err := sys.Spawn(0, "hi", 0, randomProgram(seed, 900, 0)); err != nil {
+		if _, err := sys.SpawnProgram(0, "hi", 0, randomProgram(seed, 900, 0)); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := sys.Spawn(1, "lo", 0, randomProgram(seed^0xDEAD, 900, 1)); err != nil {
+		if _, err := sys.SpawnProgram(1, "lo", 0, randomProgram(seed^0xDEAD, 900, 1)); err != nil {
 			t.Fatal(err)
 		}
 		rep, err := sys.Run()
@@ -107,10 +108,10 @@ func TestDeterminismUnderRandomWorkloads(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := sys.Spawn(0, "hi", 0, randomProgram(seed, 500, 0)); err != nil {
+			if _, err := sys.SpawnProgram(0, "hi", 0, randomProgram(seed, 500, 0)); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := sys.Spawn(1, "lo", 0, randomProgram(seed+1, 500, 1)); err != nil {
+			if _, err := sys.SpawnProgram(1, "lo", 0, randomProgram(seed+1, 500, 1)); err != nil {
 				t.Fatal(err)
 			}
 			rep, err := sys.Run()

@@ -33,31 +33,43 @@ func protectedSystem(t *testing.T, prot core.Config) (*kernel.System, *FlushMoni
 	fm := NewFlushMonitor(sys)
 	// The Hi workload varies its per-slice dirty-line count so that an
 	// unpadded switch would expose variable flush latency.
-	if _, err := sys.Spawn(0, "hi", 0, func(c *kernel.UserCtx) {
-		for round := uint64(0); round < 16; round++ {
+	// Each of its 16 rounds writes n lines, takes a syscall on even
+	// rounds, starts IO every third round, then computes 150 steps.
+	round, j := 0, 0
+	if _, err := sys.SpawnProgram(0, "hi", 0, kernel.ProgramFunc(func(m *kernel.Machine) kernel.Status {
+		for round < 16 {
 			n := 20 + (round%4)*220
-			for i := uint64(0); i < n; i++ {
-				c.WriteHeap((i * 64) % c.HeapBytes())
-			}
-			if round%2 == 0 {
-				c.NullSyscall()
-			}
-			if round%3 == 0 {
-				c.StartIO(0, 10_000)
-			}
-			for i := 0; i < 150; i++ {
-				c.Compute(150)
+			k := j
+			j++
+			switch {
+			case k < n:
+				return m.WriteHeap(uint64(k*64) % m.HeapBytes())
+			case k == n && round%2 == 0:
+				return m.NullSyscall()
+			case k == n+1 && round%3 == 0:
+				return m.StartIO(0, 10_000)
+			case k >= n+2 && k < n+152:
+				return m.Compute(150)
+			case k == n+152:
+				round, j = round+1, 0
 			}
 		}
-	}); err != nil {
+		return kernel.Done
+	})); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.Spawn(1, "lo", 0, func(c *kernel.UserCtx) {
-		for i := uint64(0); i < 1200; i++ {
-			c.ReadHeap((i * 128) % c.HeapBytes())
-			c.Branch(i%256, i%3 == 0)
+	i := 0
+	if _, err := sys.SpawnProgram(1, "lo", 0, kernel.ProgramFunc(func(m *kernel.Machine) kernel.Status {
+		if i == 2*1200 {
+			return kernel.Done
 		}
-	}); err != nil {
+		k := uint64(i / 2)
+		i++
+		if i%2 == 1 {
+			return m.ReadHeap((k * 128) % m.HeapBytes())
+		}
+		return m.Branch(k%256, k%3 == 0)
+	})); err != nil {
 		t.Fatal(err)
 	}
 	return sys, fm

@@ -37,13 +37,15 @@ func (r NIResult) String() string {
 	return fmt.Sprintf("INTERFERENCE at observation %d: %d vs %d", r.DivergeIndex, r.A, r.B)
 }
 
-// TwoRunNI builds two identical uniprocessor systems under prot, runs
-// hiA in one and hiB in the other alongside the same Lo observer
-// program, and compares Lo's complete timing view. The Lo observer mixes
-// user reads, branches, syscalls and clock reads, so every §5.2 case is
-// exercised.
-func TwoRunNI(prot core.Config, hiA, hiB func(*kernel.UserCtx), loOps int) (NIResult, error) {
-	run := func(hi func(*kernel.UserCtx)) ([]uint64, error) {
+// TwoRunNI builds two identical uniprocessor systems under prot, runs a
+// program from hiA in one and from hiB in the other alongside the same Lo
+// observer program, and compares Lo's complete timing view. The Lo
+// observer mixes user reads, branches, syscalls and clock reads, so
+// every §5.2 case is exercised. hiA and hiB are program factories,
+// called once per run: a Program carries its own state, so each run
+// needs a fresh one (and hiA may be passed as both sides).
+func TwoRunNI(prot core.Config, hiA, hiB func() kernel.Program, loOps int) (NIResult, error) {
+	run := func(hi kernel.Program) ([]uint64, error) {
 		pcfg := platform.DefaultConfig()
 		pcfg.Cores = 1
 		// A tiny LLC (64 KiB, 4 colours, 4 ways) so that a domain's
@@ -68,25 +70,10 @@ func TwoRunNI(prot core.Config, hiA, hiB func(*kernel.UserCtx), loOps int) (NIRe
 			return nil, err
 		}
 		var obs []uint64
-		if _, err := sys.Spawn(0, "hi", 0, hi); err != nil {
+		if _, err := sys.SpawnProgram(0, "hi", 0, hi); err != nil {
 			return nil, err
 		}
-		if _, err := sys.Spawn(1, "lo", 0, func(c *kernel.UserCtx) {
-			for i := 0; i < loOps; i++ {
-				// Case 1: user memory access, timed.
-				lat := c.ReadHeap(uint64(i*192) % (16 * 4096))
-				obs = append(obs, lat, c.Now())
-				// Branch predictor path.
-				obs = append(obs, c.Branch(uint64(i%64), i%3 == 0))
-				// Case 2a: kernel entry, timed.
-				obs = append(obs, c.NullSyscall(), c.Now())
-				// Spread the observations over many slices so that
-				// Hi's pressure has time to build between them.
-				for k := 0; k < 8; k++ {
-					c.Compute(2_000)
-				}
-			}
-		}); err != nil {
+		if _, err := sys.SpawnProgram(1, "lo", 0, loObserver(loOps, &obs)); err != nil {
 			return nil, err
 		}
 		rep, err := sys.Run()
@@ -99,11 +86,11 @@ func TwoRunNI(prot core.Config, hiA, hiB func(*kernel.UserCtx), loOps int) (NIRe
 		return obs, nil
 	}
 
-	a, err := run(hiA)
+	a, err := run(hiA())
 	if err != nil {
 		return NIResult{}, err
 	}
-	b, err := run(hiB)
+	b, err := run(hiB())
 	if err != nil {
 		return NIResult{}, err
 	}
@@ -123,43 +110,90 @@ func TwoRunNI(prot core.Config, hiA, hiB func(*kernel.UserCtx), loOps int) (NIRe
 	return res, nil
 }
 
-// HiVariantPair returns two Hi programs whose hardware footprints differ
-// in every §4 dimension: cache-set usage, dirty-line counts, syscall
-// pattern, early-versus-late slice completion, and interrupt
-// programming. Under full protection TwoRunNI must not tell them apart.
-func HiVariantPair() (hiA, hiB func(*kernel.UserCtx)) {
-	hiA = func(c *kernel.UserCtx) {
-		for r := 0; r < 8; r++ {
-			// Staggered completion interrupts, programmed FIRST so
-			// they fire while the observer still runs: whatever the
-			// slice phase, several land inside Lo slices when
-			// partitioning is off.
-			for d := uint64(40_000); d <= 400_000; d += 40_000 {
-				c.StartIO(0, d)
-			}
-			// Full-heap write sweep: dirties thousands of lines and,
-			// absent colouring, overfills every LLC set its pages
-			// reach (20 same-colour pages vs 4 ways).
-			lines := c.HeapBytes() / 64
-			for i := uint64(0); i < lines; i++ {
-				c.WriteHeap(i * 64)
-			}
-			c.NullSyscall()
-			for i := 0; i < 60; i++ {
-				c.Compute(300)
-			}
+// loObserver is the Lo program: loOps rounds of 13 steps each, every
+// timing reading appended to obs. A round times a user memory access
+// (case 1) and reads the clock, takes a branch (the predictor path),
+// times a kernel entry (case 2a) and reads the clock again, then
+// computes for eight steps, spreading the observations over many slices
+// so that Hi's pressure has time to build between them.
+func loObserver(loOps int, obs *[]uint64) kernel.Program {
+	k := 0
+	return kernel.ProgramFunc(func(m *kernel.Machine) kernel.Status {
+		i, j := k/13, k%13
+		k++
+		switch j { // record the previous operation's reading
+		case 1, 3, 4: // read, branch and syscall latencies
+			*obs = append(*obs, m.Latency())
+		case 2, 5: // clock reads
+			*obs = append(*obs, m.Time())
 		}
+		if i == loOps {
+			return kernel.Done
+		}
+		switch j {
+		case 0:
+			return m.ReadHeap(uint64(i*192) % (16 * 4096))
+		case 1, 4:
+			return m.Now()
+		case 2:
+			return m.Branch(uint64(i%64), i%3 == 0)
+		case 3:
+			return m.NullSyscall()
+		}
+		return m.Compute(2_000)
+	})
+}
+
+// HiVariantPair returns factories for two Hi programs whose hardware
+// footprints differ in every §4 dimension: cache-set usage, dirty-line
+// counts, syscall pattern, early-versus-late slice completion, and
+// interrupt programming. Under full protection TwoRunNI must not tell
+// them apart.
+func HiVariantPair() (hiA, hiB func() kernel.Program) {
+	// hiA runs 8 rounds of: ten staggered completion interrupts,
+	// programmed FIRST so they fire while the observer still runs
+	// (whatever the slice phase, several land inside Lo slices when
+	// partitioning is off); a full-heap write sweep that dirties
+	// thousands of lines and, absent colouring, overfills every LLC
+	// set its pages reach (20 same-colour pages vs 4 ways); a syscall;
+	// and 60 compute steps.
+	hiA = func() kernel.Program {
+		k := 0
+		return kernel.ProgramFunc(func(m *kernel.Machine) kernel.Status {
+			lines := int(m.HeapBytes() / 64)
+			per := 10 + lines + 1 + 60
+			if k == 8*per {
+				return kernel.Done
+			}
+			j := k % per
+			k++
+			switch {
+			case j < 10:
+				return m.StartIO(0, uint64(j+1)*40_000)
+			case j < 10+lines:
+				return m.WriteHeap(uint64(j-10) * 64)
+			case j == 10+lines:
+				return m.NullSyscall()
+			}
+			return m.Compute(300)
+		})
 	}
-	hiB = func(c *kernel.UserCtx) {
-		for r := 0; r < 5; r++ {
-			for i := uint64(0); i < 7; i++ {
-				c.ReadHeap((i * 8192) % c.HeapBytes())
+	// hiB runs 5 rounds of 7 strided reads and 900 branches, then exits
+	// early: the rest of Hi's slices are empty.
+	hiB = func() kernel.Program {
+		k := 0
+		return kernel.ProgramFunc(func(m *kernel.Machine) kernel.Status {
+			if k == 5*907 {
+				return kernel.Done
 			}
-			for i := 0; i < 900; i++ {
-				c.Branch(uint64(i%32), i%2 == 0)
+			j := k % 907
+			k++
+			if j < 7 {
+				return m.ReadHeap((uint64(j) * 8192) % m.HeapBytes())
 			}
-		}
-		// Exits early: the rest of Hi's slices are empty.
+			i := j - 7
+			return m.Branch(uint64(i%32), i%2 == 0)
+		})
 	}
 	return hiA, hiB
 }

@@ -121,6 +121,9 @@ func TestHTTPContract(t *testing.T) {
 		{"err_bad_spec.json", `{"kind":"sweep","sweep":{"Scenarios":["T99"]}}`, http.StatusBadRequest},
 		{"err_bad_shard.json", `{"kind":"sweep","shard":"5/2","sweep":` + spec + `}`, http.StatusBadRequest},
 		{"err_two_specs.json", `{"kind":"sweep","sweep":` + spec + `,"proof":{}}`, http.StatusBadRequest},
+		{"err_trailing_data.json", `{"kind":"sweep","sweep":` + spec + `} this is not json`, http.StatusBadRequest},
+		{"err_second_object.json", `{"kind":"sweep","sweep":` + spec + `}{}`, http.StatusBadRequest},
+		{"err_too_large.json", `{"kind":"sweep","sweep":{"Scenarios":["` + strings.Repeat("T", MaxSubmitBytes) + `"]}}`, http.StatusRequestEntityTooLarge},
 	} {
 		b = do(t, "POST", base+"/v1/jobs", tc.body, tc.code)
 		checkGolden(t, tc.name, b)
@@ -129,8 +132,9 @@ func TestHTTPContract(t *testing.T) {
 	checkGolden(t, "err_unknown_job.json", b)
 
 	// Error submissions must not have minted jobs: the next accepted
-	// submission is j2, pinning the ID sequence.
-	b = do(t, "POST", base+"/v1/jobs", `{"kind":"sweep","sweep":`+spec+`}`, http.StatusAccepted)
+	// submission is j2, pinning the ID sequence. Its trailing newline
+	// is whitespace, not trailing data.
+	b = do(t, "POST", base+"/v1/jobs", `{"kind":"sweep","sweep":`+spec+"}\n", http.StatusAccepted)
 	if !bytes.Contains(b, []byte(`"id": "j2"`)) {
 		t.Fatalf("rejected submissions consumed job IDs:\n%s", b)
 	}

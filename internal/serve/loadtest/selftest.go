@@ -36,7 +36,7 @@ func SelfTest(dir string, clients, shards int, spec experiment.Spec, logf func(s
 	if err != nil {
 		return fmt.Errorf("selftest: listen: %v", err)
 	}
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: serve.ReadHeaderTimeout}
 	go hs.Serve(ln)
 	defer hs.Close()
 	base := "http://" + ln.Addr().String()

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 	"sync"
@@ -329,11 +331,38 @@ func writeErr(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, ErrorReply{Error: fmt.Sprintf(format, args...)})
 }
 
+// MaxSubmitBytes bounds a job submission's body. A spec is a few
+// hundred bytes; a larger body is refused with 413 before it is read
+// in full.
+const MaxSubmitBytes = 1 << 20
+
+// ReadHeaderTimeout bounds how long a listener serving Handler waits
+// for a request's headers, so an idle or trickling client cannot hold
+// a connection open indefinitely.
+const ReadHeaderTimeout = 10 * time.Second
+
+// handleSubmit decodes exactly one SubmitRequest object: unknown
+// fields, trailing data after the object, and bodies over
+// MaxSubmitBytes are all refused.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxSubmitBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	err := dec.Decode(&req)
+	if err == nil {
+		// Exactly one object: anything but EOF after it is refused.
+		if _, tail := dec.Token(); tail != io.EOF {
+			err = errors.New("unexpected data after the request object")
+			if errors.As(tail, new(*http.MaxBytesError)) {
+				err = tail
+			}
+		}
+	}
+	switch {
+	case errors.As(err, new(*http.MaxBytesError)):
+		writeErr(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", MaxSubmitBytes)
+		return
+	case err != nil:
 		writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}

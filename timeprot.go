@@ -66,22 +66,20 @@ type (
 	SystemConfig = kernel.SystemConfig
 	// System is an assembled machine + kernel + workload.
 	System = kernel.System
-	// Program is a direct-execution user program: a resumable step
-	// function the kernel's event loop invokes inline, one operation
-	// per step — the simulator's hot path. Spawn with
+	// Program is a user program: a resumable step function the
+	// kernel's event loop invokes inline, one operation per step — the
+	// simulator's only execution semantics. Spawn with
 	// System.SpawnProgram.
 	Program = kernel.Program
+	// ProgramFunc adapts a step function (typically a closure over
+	// local counters) to Program.
+	ProgramFunc = kernel.ProgramFunc
 	// Machine is the per-thread execution context a Program steps
 	// against: previous result accessors plus one-operation issue
 	// methods.
 	Machine = kernel.Machine
 	// ProgramStatus is a Program step's answer to the scheduler.
 	ProgramStatus = kernel.Status
-	// UserCtx is the legacy blocking interface thread functions run
-	// against, kept as a goroutine-bridge adapter over Program; use
-	// System.Spawn. It costs two channel handoffs per instruction —
-	// prefer Program for anything throughput-sensitive.
-	UserCtx = kernel.UserCtx
 	// Thread is a spawned thread handle.
 	Thread = kernel.Thread
 	// EndpointSpec declares a synchronous IPC endpoint, optionally
@@ -117,12 +115,6 @@ const (
 	Running = kernel.Running
 	Done    = kernel.Done
 )
-
-// ReplayProgram adapts a Program to the legacy goroutine+UserCtx
-// execution path. Both paths run the identical operation stream; the
-// kernel's equivalence tests rely on this to prove the two execution
-// models produce bit-identical traces.
-func ReplayProgram(p Program) func(*UserCtx) { return kernel.ReplayProgram(p) }
 
 // FullProtection arms every mechanism of §4.
 func FullProtection() Config { return core.FullProtection() }
@@ -494,7 +486,8 @@ type NIResult = invariant.NIResult
 // TwoRunNI runs the same Lo observer against two different Hi programs
 // under prot and compares every timing observation Lo makes. Under full
 // protection the sequences are bit-identical; any divergence is a
-// concrete timing channel.
-func TwoRunNI(prot Config, hiA, hiB func(*UserCtx), loOps int) (NIResult, error) {
+// concrete timing channel. hiA and hiB are called once per run for a
+// fresh program.
+func TwoRunNI(prot Config, hiA, hiB func() Program, loOps int) (NIResult, error) {
 	return invariant.TwoRunNI(prot, hiA, hiB, loOps)
 }

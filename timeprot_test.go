@@ -21,12 +21,15 @@ func TestPublicAPISystemLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	fm := NewFlushMonitor(sys)
-	for d, name := range map[int]string{0: "hi", 1: "lo"} {
-		if _, err := sys.Spawn(d, name, 0, func(c *UserCtx) {
-			for i := uint64(0); i < 400; i++ {
-				c.WriteHeap((i * 64) % c.HeapBytes())
+	for d, name := range []string{"hi", "lo"} {
+		i := uint64(0)
+		if _, err := sys.SpawnProgram(d, name, 0, ProgramFunc(func(m *Machine) ProgramStatus {
+			if i == 400 {
+				return Done
 			}
-		}); err != nil {
+			i++
+			return m.WriteHeap(((i - 1) * 64) % m.HeapBytes())
+		})); err != nil {
 			t.Fatal(err)
 		}
 	}
