@@ -435,15 +435,6 @@ type ConcreteResult struct {
 	SimOps uint64
 }
 
-// BuildOpts carries a concrete run's optional hooks: a machine pool for
-// construction reuse and a coverage map attached to the cores for the
-// duration of the run — both invisible to every measured cycle. The zero
-// value builds a fresh machine and records no coverage.
-type BuildOpts struct {
-	Pool *platform.Pool
-	Cov  *cover.Map
-}
-
 // spawn adds a harness program to sys; a layout that cannot host it is
 // a construction bug.
 func spawn(sys *kernel.System, domain int, name string, cpu int, p kernel.Program) {
@@ -452,10 +443,21 @@ func spawn(sys *kernel.System, domain int, name string, cpu int, p kernel.Progra
 	}
 }
 
-// BuildConcrete constructs the concrete transmission run of a pair
-// under a protection configuration; finish turns the harness logs into
-// the measured result once the system has run.
-func BuildConcrete(prot core.Config, pair Pair, p Params, seed uint64, o BuildOpts) (*kernel.System, func(kernel.Report) ConcreteResult) {
+// MeasureConcrete runs the concrete side of one conformance cell on a
+// fresh cell context.
+func MeasureConcrete(prot core.Config, pair Pair, p Params, seed uint64) ConcreteResult {
+	return MeasureConcreteIn(attacks.NewCellContext(), prot, pair, p, seed, nil)
+}
+
+// MeasureConcreteIn runs the concrete transmission of a pair under a
+// protection configuration on a per-worker arena: machine construction
+// comes from the context's pool and, when cov is non-nil, the run's
+// microarchitectural transitions are recorded into it. Both are
+// invisible to the measurement — the result is bit-identical to
+// MeasureConcrete for the same inputs.
+func MeasureConcreteIn(cc *attacks.CellContext, prot core.Config, pair Pair, p Params, seed uint64, cov *cover.Map) ConcreteResult {
+	cc.BeginRun()
+	defer cc.EndRun()
 	pcfg := platform.DefaultConfig()
 	pcfg.Cores = 1
 
@@ -485,13 +487,13 @@ func BuildConcrete(prot core.Config, pair Pair, p Params, seed uint64, o BuildOp
 		Domains:    domains,
 		Schedule:   schedule,
 		MaxCycles:  uint64(p.Rounds+16) * perRound * 2,
-		Pool:       o.Pool,
+		Pool:       cc.Pool(),
 	})
 	if err != nil {
 		panic(fmt.Sprintf("conform: %v", err))
 	}
-	if o.Cov != nil {
-		sys.Machine().SetCoverage(o.Cov)
+	if cov != nil {
+		sys.Machine().SetCoverage(cov)
 	}
 
 	seq := attacks.SymbolSeq(p.Rounds+8, 2, seed)
@@ -524,56 +526,6 @@ func BuildConcrete(prot core.Config, pair Pair, p Params, seed uint64, o BuildOp
 		})
 	}
 
-	return sys, func(rep kernel.Report) ConcreteResult {
-		res := ConcreteResult{SimOps: rep.Ops}
-		streams := []struct {
-			name string
-			log  *attacks.ObsLog
-		}{
-			{"probe-dec", decL},
-			{"probe-lat", latL},
-			{"slice-start", startL},
-			{"irq-gap", gapL},
-		}
-		for i, st := range streams {
-			labels, vals := attacks.Label(syms, st.log, p.Warmup)
-			est, err := attacks.EstimateLabelled(labels, vals, p.Bins, seed^0x51^uint64(i)<<8)
-			if err != nil {
-				panic(fmt.Sprintf("conform: stream %s: %v", st.name, err))
-			}
-			res.Channels = append(res.Channels, NamedEstimate{Name: st.name, Est: est})
-			if est.CapacityBits > res.Channels[res.Best].Est.CapacityBits {
-				res.Best = i
-			}
-			if leakCertain(est) {
-				res.Leak = true
-			}
-		}
-		return res
-	}
-}
-
-// shuffledSets returns a deterministic shuffled order of the per-group
-// set indices, defeating the stride prefetcher like the attack probes.
-func shuffledSets(n int, seed uint64) []int {
-	return rng.New(seed).Perm(n)
-}
-
-// MeasureConcrete runs the concrete side of one conformance cell on a
-// fresh cell context.
-func MeasureConcrete(prot core.Config, pair Pair, p Params, seed uint64) ConcreteResult {
-	return MeasureConcreteIn(attacks.NewCellContext(), prot, pair, p, seed, nil)
-}
-
-// MeasureConcreteIn is MeasureConcrete on a per-worker arena: machine
-// construction comes from the context's pool and, when cov is non-nil,
-// the run's microarchitectural transitions are recorded into it. Both
-// are invisible to the measurement — the result is bit-identical to
-// MeasureConcrete for the same inputs.
-func MeasureConcreteIn(cc *attacks.CellContext, prot core.Config, pair Pair, p Params, seed uint64, cov *cover.Map) ConcreteResult {
-	cc.BeginRun()
-	defer cc.EndRun()
-	sys, finish := BuildConcrete(prot, pair, p, seed, BuildOpts{Pool: cc.Pool(), Cov: cov})
 	rep, err := sys.Run()
 	if err != nil {
 		panic(fmt.Sprintf("conform: %v", err))
@@ -581,5 +533,35 @@ func MeasureConcreteIn(cc *attacks.CellContext, prot core.Config, pair Pair, p P
 	if len(rep.Errors) > 0 {
 		panic(fmt.Sprintf("conform: thread errors: %v", rep.Errors))
 	}
-	return finish(rep)
+	res := ConcreteResult{SimOps: rep.Ops}
+	streams := []struct {
+		name string
+		log  *attacks.ObsLog
+	}{
+		{"probe-dec", decL},
+		{"probe-lat", latL},
+		{"slice-start", startL},
+		{"irq-gap", gapL},
+	}
+	for i, st := range streams {
+		labels, vals := attacks.Label(syms, st.log, p.Warmup)
+		est, err := attacks.EstimateLabelled(labels, vals, p.Bins, seed^0x51^uint64(i)<<8)
+		if err != nil {
+			panic(fmt.Sprintf("conform: stream %s: %v", st.name, err))
+		}
+		res.Channels = append(res.Channels, NamedEstimate{Name: st.name, Est: est})
+		if est.CapacityBits > res.Channels[res.Best].Est.CapacityBits {
+			res.Best = i
+		}
+		if leakCertain(est) {
+			res.Leak = true
+		}
+	}
+	return res
+}
+
+// shuffledSets returns a deterministic shuffled order of the per-group
+// set indices, defeating the stride prefetcher like the attack probes.
+func shuffledSets(n int, seed uint64) []int {
+	return rng.New(seed).Perm(n)
 }

@@ -139,7 +139,7 @@ func TestAdaptivePolicyKeysDistinct(t *testing.T) {
 		name  string
 		cells []Cell
 	}{{"fixed", fixedCells}, {"ci=0.05", a1}, {"ci=0.1", a2}} {
-		k, ok := cellKey(set.cells[0])
+		k, ok := CellKey(set.cells[0])
 		if !ok {
 			t.Fatalf("%s: no key", set.name)
 		}

@@ -1,15 +1,13 @@
 package experiment
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
-	"runtime"
 	"strings"
-	"sync"
 
+	"timeprot/internal/attacks"
 	"timeprot/internal/channel"
 	"timeprot/internal/conform"
 	"timeprot/internal/core"
@@ -280,47 +278,6 @@ func (m *ConformanceMatrix) Counts() (sound, conservative, violation, failed int
 	return
 }
 
-// ConformanceOptions tunes a conformance run. Parallelism, Store,
-// Progress, and Stats never affect the matrix's bytes; Shard restricts
-// the run to a subset and therefore produces a partial matrix.
-type ConformanceOptions struct {
-	// Parallelism is the worker count (<=0 = GOMAXPROCS).
-	Parallelism int
-	// Progress, when non-nil, is called after each completed cell.
-	Progress func(done, total int, c ConformanceCell)
-	// Store, when non-nil, serves cached conformance cells and receives
-	// fresh non-failed outcomes.
-	Store store.CellStore
-	// Shard restricts the run to one shard of the matrix's
-	// deterministic partition (unit: single cell). The zero value runs
-	// everything.
-	Shard ShardSel
-	// Stats, when non-nil, receives the run's cache statistics.
-	Stats *CacheStats
-	// Context, when non-nil, scopes the run to a job: see
-	// Options.Context — cancellation stops dispatch, finishes in-flight
-	// cells, and returns the context's error.
-	Context context.Context
-}
-
-// shardConformCells returns the cells of one shard, preserving
-// full-matrix indices.
-func shardConformCells(cells []ConformanceCell, sh ShardSel) ([]ConformanceCell, error) {
-	if sh.Count <= 0 {
-		return cells, nil
-	}
-	if sh.Index < 0 || sh.Index >= sh.Count {
-		return nil, fmt.Errorf("experiment: conformance shard index %d out of range [0,%d)", sh.Index, sh.Count)
-	}
-	var out []ConformanceCell
-	for _, c := range cells {
-		if c.Index%sh.Count == sh.Index {
-			out = append(out, c)
-		}
-	}
-	return out, nil
-}
-
 // RunConformance executes a conformance matrix. The result depends only
 // on the spec (and, for sharded runs, the shard selection); the store
 // only decides which cells re-execute.
@@ -330,122 +287,41 @@ func RunConformance(spec ConformanceSpec, opt ConformanceOptions) (*ConformanceM
 	if err != nil {
 		return nil, err
 	}
-	cells, err = shardConformCells(cells, opt.Shard)
+	results, stats, err := runMatrix(&conformKind, cells, opt)
 	if err != nil {
 		return nil, err
 	}
-
-	stats := CacheStats{Total: len(cells)}
-	results := make([]ConformanceCellResult, len(cells))
-	keys := make([]store.Key, len(cells))
-
-	par := opt.Parallelism
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
-
-	// Probe the store concurrently, then fill hits in matrix order so
-	// Progress and pending stay deterministic (same structure as the
-	// attack-cell and proof-cell runners).
-	hits := make([]*store.ConformV1, len(cells))
-	if opt.Store != nil {
-		probe := make(chan int)
-		var pwg sync.WaitGroup
-		for w := 0; w < par; w++ {
-			pwg.Add(1)
-			go func() {
-				defer pwg.Done()
-				for i := range probe {
-					keys[i] = conformCellKey(cells[i])
-					if c, ok := opt.Store.GetConform(keys[i]); ok {
-						cc := c
-						hits[i] = &cc
-					}
-				}
-			}()
-		}
-		for i := range cells {
-			probe <- i
-		}
-		close(probe)
-		pwg.Wait()
-	}
-
-	done := 0
-	var pending []int
-	for i, c := range cells {
-		if hits[i] != nil {
-			results[i] = decodeConformCell(c, *hits[i])
-			stats.Hits++
-			done++
-			if opt.Progress != nil {
-				opt.Progress(done, len(cells), c)
-			}
-			continue
-		}
-		pending = append(pending, i)
-	}
-	stats.Executed = len(pending)
-
-	if par > len(pending) {
-		par = len(pending)
-	}
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	for w := 0; w < par; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				results[i] = runConformCell(cells[i])
-				var stored bool
-				var err error
-				if opt.Store != nil && results[i].Err == "" {
-					err = opt.Store.PutConform(keys[i], encodeConformCell(results[i]))
-					stored = err == nil
-				}
-				mu.Lock()
-				if err != nil {
-					stats.FailedPuts++
-					if stats.FailedPut == "" {
-						stats.FailedPut = err.Error()
-					}
-				}
-				if stored {
-					stats.Stored++
-				}
-				done++
-				if opt.Progress != nil {
-					opt.Progress(done, len(cells), cells[i])
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-feed:
-	for _, i := range pending {
-		select {
-		case jobs <- i:
-		case <-ctxDone(opt.Context):
-			break feed
-		}
-	}
-	close(jobs)
-	wg.Wait()
-	if cancelled(opt.Context) {
-		return nil, opt.Context.Err()
-	}
-
 	if opt.Stats != nil {
 		*opt.Stats = stats
 	}
 	return &ConformanceMatrix{Spec: spec, Cells: results}, nil
 }
 
+// conformKind is the conformance-cell row of the engine's kind table:
+// each cell is its own group.
+var conformKind = matrixKind[ConformanceCell, ConformanceCellResult]{
+	key: func(c ConformanceCell) (store.Key, bool) { return ConformKey(c), true },
+	get: func(st store.CellStore, k store.Key, c ConformanceCell) (ConformanceCellResult, bool) {
+		cv, ok := st.GetConform(k)
+		if !ok {
+			return ConformanceCellResult{}, false
+		}
+		return decodeConformCell(c, cv), true
+	},
+	exec: runConformCell,
+	put: func(st store.CellStore, k store.Key, r ConformanceCellResult) error {
+		return st.PutConform(k, encodeConformCell(r))
+	},
+	errOf: func(r ConformanceCellResult) string { return r.Err },
+	label: func(c ConformanceCell) string {
+		return fmt.Sprintf("conform %s/%s pair=%d seed=%d", c.Model, c.Ablation, c.Pair, c.Seed)
+	},
+}
+
 // runConformCell executes one conformance cell, converting harness
-// panics into per-cell errors.
-func runConformCell(c ConformanceCell) (res ConformanceCellResult) {
+// panics into per-cell errors. The harness builds its own concrete
+// machine, so the worker's cell context goes unused.
+func runConformCell(_ *attacks.CellContext, c ConformanceCell) (res ConformanceCellResult) {
 	res.ConformanceCell = c
 	defer func() {
 		if p := recover(); p != nil {

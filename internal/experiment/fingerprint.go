@@ -64,8 +64,8 @@ func ConformFingerprint() string {
 	}, "|")
 }
 
-// conformCellKey derives the store key for one conformance cell.
-func conformCellKey(c ConformanceCell) store.Key {
+// ConformKey derives the store key for one conformance cell.
+func ConformKey(c ConformanceCell) store.Key {
 	return store.ConformSpec{
 		Fingerprint: ConformFingerprint(),
 		Model:       c.Model,
@@ -80,8 +80,8 @@ func conformCellKey(c ConformanceCell) store.Key {
 	}.Key()
 }
 
-// proofCellKey derives the store key for one proof cell.
-func proofCellKey(c ProofCell) store.Key {
+// ProofKey derives the store key for one proof cell.
+func ProofKey(c ProofCell) store.Key {
 	return store.ProofSpec{
 		Fingerprint: ProverFingerprint(),
 		Ablation:    c.Ablation,
@@ -93,10 +93,10 @@ func proofCellKey(c ProofCell) store.Key {
 	}.Key()
 }
 
-// cellKey derives the store key for one cell of the matrix. It reports
-// false when the cell does not resolve against the registry (such cells
-// fail in the runner and are never cached).
-func cellKey(c Cell) (store.Key, bool) {
+// CellKey derives the store key for one attack cell. It reports false
+// when the cell does not resolve against the scenario registry (such
+// cells fail in the runner and are never cached).
+func CellKey(c Cell) (store.Key, bool) {
 	s, ok := attacks.ScenarioByID(c.ScenarioID)
 	if !ok {
 		return store.Key{}, false

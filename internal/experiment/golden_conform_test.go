@@ -170,7 +170,7 @@ func TestConformShardPartition(t *testing.T) {
 	for n := 1; n <= 5; n++ {
 		seen := make(map[int]bool)
 		for i := 0; i < n; i++ {
-			part, err := shardConformCells(cells, ShardSel{Index: i, Count: n})
+			part, err := shard(cells, ShardSel{Index: i, Count: n}, conformKind.sameGroup)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -185,7 +185,7 @@ func TestConformShardPartition(t *testing.T) {
 			t.Fatalf("%d shards cover %d cells, want %d", n, len(seen), len(cells))
 		}
 	}
-	if _, err := shardConformCells(cells, ShardSel{Index: 2, Count: 2}); err == nil {
+	if _, err := shard(cells, ShardSel{Index: 2, Count: 2}, conformKind.sameGroup); err == nil {
 		t.Fatal("out-of-range conformance shard index accepted")
 	}
 }

@@ -140,7 +140,7 @@ func TestProofShardPartition(t *testing.T) {
 	for n := 1; n <= 5; n++ {
 		seen := make(map[int]bool)
 		for i := 0; i < n; i++ {
-			part, err := shardProofCells(cells, ShardSel{Index: i, Count: n})
+			part, err := shard(cells, ShardSel{Index: i, Count: n}, proofKind.sameGroup)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -155,7 +155,7 @@ func TestProofShardPartition(t *testing.T) {
 			t.Fatalf("%d shards cover %d cells, want %d", n, len(seen), len(cells))
 		}
 	}
-	if _, err := shardProofCells(cells, ShardSel{Index: 2, Count: 2}); err == nil {
+	if _, err := shard(cells, ShardSel{Index: 2, Count: 2}, proofKind.sameGroup); err == nil {
 		t.Fatal("out-of-range proof shard index accepted")
 	}
 }

@@ -254,11 +254,11 @@ func TestShardCellsPartition(t *testing.T) {
 		var indices []int
 		groupShard := make(map[string]int)
 		for i := 0; i < n; i++ {
-			part, err := shardCells(cells, ShardSel{Index: i, Count: n})
+			part, err := shard(cells, ShardSel{Index: i, Count: n}, sameGroup)
 			if err != nil {
 				t.Fatal(err)
 			}
-			again, _ := shardCells(cells, ShardSel{Index: i, Count: n})
+			again, _ := shard(cells, ShardSel{Index: i, Count: n}, sameGroup)
 			if len(again) != len(part) {
 				t.Fatalf("shard %d/%d not deterministic", i, n)
 			}
@@ -281,10 +281,10 @@ func TestShardCellsPartition(t *testing.T) {
 			}
 		}
 	}
-	if _, err := shardCells(cells, ShardSel{Index: 2, Count: 2}); err == nil {
+	if _, err := shard(cells, ShardSel{Index: 2, Count: 2}, sameGroup); err == nil {
 		t.Fatal("out-of-range shard index accepted")
 	}
-	if _, err := shardCells(cells, ShardSel{Index: -1, Count: 2}); err == nil {
+	if _, err := shard(cells, ShardSel{Index: -1, Count: 2}, sameGroup); err == nil {
 		t.Fatal("negative shard index accepted")
 	}
 }
@@ -345,7 +345,7 @@ func TestStoreNeverCachesFailures(t *testing.T) {
 	if res.Err == "" {
 		t.Fatal("bogus cell did not fail")
 	}
-	if _, ok := cellKey(Cell{ScenarioID: "T4", Variant: "not a variant"}); ok {
+	if _, ok := CellKey(Cell{ScenarioID: "T4", Variant: "not a variant"}); ok {
 		t.Fatal("unresolvable cell produced a store key")
 	}
 }

@@ -1,12 +1,10 @@
 package experiment
 
 import (
-	"context"
 	"fmt"
-	"runtime"
 	"strings"
-	"sync"
 
+	"timeprot/internal/attacks"
 	"timeprot/internal/experiment/store"
 	"timeprot/internal/prove/absmodel"
 	"timeprot/internal/prove/nonintf"
@@ -16,8 +14,7 @@ import (
 // attack sweep in runner.go. A declarative ProofSpec expands into an
 // ablation × model-variant × family-count × seed grid of proof cells,
 // each cell invokes nonintf.Prove, cells execute on the same
-// deterministic worker-pool pattern as attack cells, and results are
-// cached in the content-addressed store under the prover fingerprint —
+// matrix engine as attack cells (engine.go), and results are cached in the content-addressed store under the prover fingerprint —
 // so the T1 matrix becomes incremental, sharded, and warm-reproducible
 // exactly like the measurement matrix.
 
@@ -331,48 +328,6 @@ type ProofMatrix struct {
 	Cells []ProofCellResult
 }
 
-// ProofOptions tunes a proof-matrix run. As with sweep Options,
-// Parallelism, Store, Progress, and Stats never affect the matrix's
-// bytes; Shard restricts the run to a subset and therefore produces a
-// partial matrix.
-type ProofOptions struct {
-	// Parallelism is the worker count (<=0 = GOMAXPROCS).
-	Parallelism int
-	// Progress, when non-nil, is called after each completed cell.
-	Progress func(done, total int, c ProofCell)
-	// Store, when non-nil, serves cached proof cells and receives
-	// fresh non-failed verdicts.
-	Store store.CellStore
-	// Shard restricts the run to one shard of the matrix's
-	// deterministic partition (unit: single cell — proof cells have no
-	// cross-row post-processing). The zero value runs everything.
-	Shard ShardSel
-	// Stats, when non-nil, receives the run's cache statistics.
-	Stats *CacheStats
-	// Context, when non-nil, scopes the run to a job: see
-	// Options.Context — cancellation stops dispatch, finishes in-flight
-	// cells, and returns the context's error.
-	Context context.Context
-}
-
-// shardProofCells returns the cells of one shard, preserving
-// full-matrix indices.
-func shardProofCells(cells []ProofCell, sh ShardSel) ([]ProofCell, error) {
-	if sh.Count <= 0 {
-		return cells, nil
-	}
-	if sh.Index < 0 || sh.Index >= sh.Count {
-		return nil, fmt.Errorf("experiment: proof shard index %d out of range [0,%d)", sh.Index, sh.Count)
-	}
-	var out []ProofCell
-	for _, c := range cells {
-		if c.Index%sh.Count == sh.Index {
-			out = append(out, c)
-		}
-	}
-	return out, nil
-}
-
 // RunProofMatrix executes a proof matrix. The result depends only on
 // the spec (and, for sharded runs, the shard selection); the store only
 // decides which cells re-execute.
@@ -382,122 +337,41 @@ func RunProofMatrix(spec ProofSpec, opt ProofOptions) (*ProofMatrix, error) {
 	if err != nil {
 		return nil, err
 	}
-	cells, err = shardProofCells(cells, opt.Shard)
+	results, stats, err := runMatrix(&proofKind, cells, opt)
 	if err != nil {
 		return nil, err
 	}
-
-	stats := CacheStats{Total: len(cells)}
-	results := make([]ProofCellResult, len(cells))
-	keys := make([]store.Key, len(cells))
-
-	par := opt.Parallelism
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
-
-	// Probe the store concurrently, then fill hits in matrix order so
-	// Progress and pending stay deterministic (same structure as the
-	// attack-cell runner).
-	hits := make([]*store.ProofV1, len(cells))
-	if opt.Store != nil {
-		probe := make(chan int)
-		var pwg sync.WaitGroup
-		for w := 0; w < par; w++ {
-			pwg.Add(1)
-			go func() {
-				defer pwg.Done()
-				for i := range probe {
-					keys[i] = proofCellKey(cells[i])
-					if p, ok := opt.Store.GetProof(keys[i]); ok {
-						pc := p
-						hits[i] = &pc
-					}
-				}
-			}()
-		}
-		for i := range cells {
-			probe <- i
-		}
-		close(probe)
-		pwg.Wait()
-	}
-
-	done := 0
-	var pending []int
-	for i, c := range cells {
-		if hits[i] != nil {
-			results[i] = decodeProofCell(c, *hits[i])
-			stats.Hits++
-			done++
-			if opt.Progress != nil {
-				opt.Progress(done, len(cells), c)
-			}
-			continue
-		}
-		pending = append(pending, i)
-	}
-	stats.Executed = len(pending)
-
-	if par > len(pending) {
-		par = len(pending)
-	}
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	for w := 0; w < par; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				results[i] = runProofCell(cells[i])
-				var stored bool
-				var err error
-				if opt.Store != nil && results[i].Err == "" {
-					err = opt.Store.PutProof(keys[i], encodeProofCell(results[i]))
-					stored = err == nil
-				}
-				mu.Lock()
-				if err != nil {
-					stats.FailedPuts++
-					if stats.FailedPut == "" {
-						stats.FailedPut = err.Error()
-					}
-				}
-				if stored {
-					stats.Stored++
-				}
-				done++
-				if opt.Progress != nil {
-					opt.Progress(done, len(cells), cells[i])
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-feed:
-	for _, i := range pending {
-		select {
-		case jobs <- i:
-		case <-ctxDone(opt.Context):
-			break feed
-		}
-	}
-	close(jobs)
-	wg.Wait()
-	if cancelled(opt.Context) {
-		return nil, opt.Context.Err()
-	}
-
 	if opt.Stats != nil {
 		*opt.Stats = stats
 	}
 	return &ProofMatrix{Spec: spec, Cells: results}, nil
 }
 
+// proofKind is the proof-cell row of the engine's kind table: proof
+// cells have no cross-row post-processing, so each is its own group.
+var proofKind = matrixKind[ProofCell, ProofCellResult]{
+	key: func(c ProofCell) (store.Key, bool) { return ProofKey(c), true },
+	get: func(st store.CellStore, k store.Key, c ProofCell) (ProofCellResult, bool) {
+		p, ok := st.GetProof(k)
+		if !ok {
+			return ProofCellResult{}, false
+		}
+		return decodeProofCell(c, p), true
+	},
+	exec: runProofCell,
+	put: func(st store.CellStore, k store.Key, r ProofCellResult) error {
+		return st.PutProof(k, encodeProofCell(r))
+	},
+	errOf: func(r ProofCellResult) string { return r.Err },
+	label: func(c ProofCell) string {
+		return fmt.Sprintf("proof %s/%s fam=%d seed=%d", c.Model, c.Ablation, c.Families, c.Seed)
+	},
+}
+
 // runProofCell executes one proof cell, converting prover panics (e.g.
-// an invalid resolved configuration) into per-cell errors.
-func runProofCell(c ProofCell) (res ProofCellResult) {
+// an invalid resolved configuration) into per-cell errors. The prover
+// allocates its own state, so the worker's cell context goes unused.
+func runProofCell(_ *attacks.CellContext, c ProofCell) (res ProofCellResult) {
 	res.ProofCell = c
 	defer func() {
 		if p := recover(); p != nil {
@@ -611,6 +485,13 @@ func sweepProofSpec(families, extraRandom int, seed uint64) ProofSpec {
 		Random:   extraRandom,
 		Seeds:    []uint64{seed},
 	}
+}
+
+// SweepProofSpec returns the proof matrix a sweep with Spec.Proofs runs
+// for its T1 section.
+func SweepProofSpec(s Spec) ProofSpec {
+	s = s.normalized()
+	return sweepProofSpec(s.ProofFamilies, s.ProofRandom, firstSeed(s))
 }
 
 // legacyProofResults flattens proof cells into the sweep Report's T1

@@ -17,11 +17,6 @@ func WriteJSON(w io.Writer, r *Report) error {
 	return enc.Encode(r)
 }
 
-// cellGroup is one contiguous (scenario, seed, trial) run of cells.
-type cellGroup struct {
-	start, end int // half-open range into the cell slice
-}
-
 // sameGroup reports whether two cells belong to the same finalisation
 // group. It is the single definition of the group key: the reporters,
 // cross-row finalisation, and shard partitioning all split on it, so
@@ -32,20 +27,10 @@ func sameGroup(a, b Cell) bool {
 		a.Trial == b.Trial
 }
 
-// cellGroups splits cells into their contiguous (scenario, seed, trial)
-// groups, preserving matrix order. Both the reporters and cross-row
-// finalisation key groups this way; keep them on this one scan.
+// cellGroups splits results into their contiguous (scenario, seed,
+// trial) groups, preserving matrix order.
 func cellGroups(cells []CellResult) []cellGroup {
-	var out []cellGroup
-	for start := 0; start < len(cells); {
-		end := start + 1
-		for end < len(cells) && sameGroup(cells[end].Cell, cells[start].Cell) {
-			end++
-		}
-		out = append(out, cellGroup{start, end})
-		start = end
-	}
-	return out
+	return groupBounds(cells, func(a, b CellResult) bool { return sameGroup(a.Cell, b.Cell) })
 }
 
 // groups splits the report's cells into their matrix groups.

@@ -5,7 +5,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"os"
 	"reflect"
 	"strings"
 
@@ -146,28 +145,12 @@ func encodeConformEntry(k Key, c ConformV1) ([]byte, error) {
 
 // PutConform stores a conformance outcome under key k, with the same
 // atomic write discipline as Put.
-func (s *Store) PutConform(k Key, c ConformV1) error {
-	data, err := encodeConformEntry(k, c)
-	if err != nil {
-		return err
-	}
-	return s.writeAtomic(k, data)
-}
+func (s *Store) PutConform(k Key, c ConformV1) error { return putFile(s, k, c, encodeConformEntry) }
 
 // GetConform returns the conformance outcome stored under k. Every
 // failure mode — missing file, truncation, bit rot, key or kind
 // mismatch, unknown format version — reports a miss.
-func (s *Store) GetConform(k Key) (ConformV1, bool) {
-	data, err := os.ReadFile(s.path(k))
-	if err != nil {
-		return ConformV1{}, false
-	}
-	c, err := decodeConformEntry(k, data)
-	if err != nil {
-		return ConformV1{}, false
-	}
-	return c, true
-}
+func (s *Store) GetConform(k Key) (ConformV1, bool) { return getFile(s, k, decodeConformEntry) }
 
 // decodeConformEntry validates and decodes one conformance entry file.
 func decodeConformEntry(k Key, data []byte) (ConformV1, error) {

@@ -5,7 +5,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"os"
 	"reflect"
 	"strings"
 
@@ -110,28 +109,12 @@ func encodeDiscoverEntry(k Key, d DiscoverV1) ([]byte, error) {
 
 // PutDiscover stores a discovery outcome under key k, with the same
 // atomic write discipline as Put.
-func (s *Store) PutDiscover(k Key, d DiscoverV1) error {
-	data, err := encodeDiscoverEntry(k, d)
-	if err != nil {
-		return err
-	}
-	return s.writeAtomic(k, data)
-}
+func (s *Store) PutDiscover(k Key, d DiscoverV1) error { return putFile(s, k, d, encodeDiscoverEntry) }
 
 // GetDiscover returns the discovery outcome stored under k. Every
 // failure mode — missing file, truncation, bit rot, key or kind
 // mismatch, unknown format version — reports a miss.
-func (s *Store) GetDiscover(k Key) (DiscoverV1, bool) {
-	data, err := os.ReadFile(s.path(k))
-	if err != nil {
-		return DiscoverV1{}, false
-	}
-	d, err := decodeDiscoverEntry(k, data)
-	if err != nil {
-		return DiscoverV1{}, false
-	}
-	return d, true
-}
+func (s *Store) GetDiscover(k Key) (DiscoverV1, bool) { return getFile(s, k, decodeDiscoverEntry) }
 
 // decodeDiscoverEntry validates and decodes one discovery entry file.
 func decodeDiscoverEntry(k Key, data []byte) (DiscoverV1, error) {

@@ -506,116 +506,72 @@ func (p *Packed) readPayload(loc packedLoc) ([]byte, error) {
 	return buf, nil
 }
 
-// Get returns the row stored under k; every failure mode is a miss.
-func (p *Packed) Get(k Key) (attacks.Row, bool) {
+// getEntry returns the value stored under k when its record has the
+// wanted kind; every failure mode is a miss.
+func getEntry[T any](p *Packed, k Key, kind byte, decode func(Key, []byte) (T, error)) (T, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	var zero T
 	loc, ok := p.index[k]
-	if !ok || loc.kind != recKindCell {
-		return attacks.Row{}, false
+	if !ok || loc.kind != kind {
+		return zero, false
 	}
 	data, err := p.readPayload(loc)
 	if err != nil {
-		return attacks.Row{}, false
+		return zero, false
 	}
-	row, err := decodeEntry(k, data)
+	v, err := decode(k, data)
 	if err != nil {
-		return attacks.Row{}, false
+		return zero, false
 	}
-	return row, true
+	return v, true
 }
 
-// Put stores a measured row under k.
-func (p *Packed) Put(k Key, row attacks.Row) error {
-	data, err := encodeCellEntry(k, row)
+// putEntry encodes v and appends it under k as a record of the kind.
+func putEntry[T any](p *Packed, k Key, kind byte, v T, encode func(Key, T) ([]byte, error)) error {
+	data, err := encode(k, v)
 	if err != nil {
 		return err
 	}
-	return p.append(k, recKindCell, data)
+	return p.append(k, kind, data)
+}
+
+// Get returns the row stored under k; every failure mode is a miss.
+func (p *Packed) Get(k Key) (attacks.Row, bool) { return getEntry(p, k, recKindCell, decodeEntry) }
+
+// Put stores a measured row under k.
+func (p *Packed) Put(k Key, row attacks.Row) error {
+	return putEntry(p, k, recKindCell, row, encodeCellEntry)
 }
 
 // GetProof returns the proof verdict stored under k.
 func (p *Packed) GetProof(k Key) (ProofV1, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	loc, ok := p.index[k]
-	if !ok || loc.kind != recKindProof {
-		return ProofV1{}, false
-	}
-	data, err := p.readPayload(loc)
-	if err != nil {
-		return ProofV1{}, false
-	}
-	pr, err := decodeProofEntry(k, data)
-	if err != nil {
-		return ProofV1{}, false
-	}
-	return pr, true
+	return getEntry(p, k, recKindProof, decodeProofEntry)
 }
 
 // PutProof stores a proof verdict under k.
 func (p *Packed) PutProof(k Key, pr ProofV1) error {
-	data, err := encodeProofEntry(k, pr)
-	if err != nil {
-		return err
-	}
-	return p.append(k, recKindProof, data)
+	return putEntry(p, k, recKindProof, pr, encodeProofEntry)
 }
 
 // GetConform returns the conformance outcome stored under k.
 func (p *Packed) GetConform(k Key) (ConformV1, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	loc, ok := p.index[k]
-	if !ok || loc.kind != recKindConform {
-		return ConformV1{}, false
-	}
-	data, err := p.readPayload(loc)
-	if err != nil {
-		return ConformV1{}, false
-	}
-	c, err := decodeConformEntry(k, data)
-	if err != nil {
-		return ConformV1{}, false
-	}
-	return c, true
+	return getEntry(p, k, recKindConform, decodeConformEntry)
 }
 
 // PutConform stores a conformance outcome under k.
 func (p *Packed) PutConform(k Key, c ConformV1) error {
-	data, err := encodeConformEntry(k, c)
-	if err != nil {
-		return err
-	}
-	return p.append(k, recKindConform, data)
+	return putEntry(p, k, recKindConform, c, encodeConformEntry)
 }
 
 // GetDiscover returns the discovery evaluation stored under k.
 func (p *Packed) GetDiscover(k Key) (DiscoverV1, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	loc, ok := p.index[k]
-	if !ok || loc.kind != recKindDiscover {
-		return DiscoverV1{}, false
-	}
-	data, err := p.readPayload(loc)
-	if err != nil {
-		return DiscoverV1{}, false
-	}
-	d, err := decodeDiscoverEntry(k, data)
-	if err != nil {
-		return DiscoverV1{}, false
-	}
-	return d, true
+	return getEntry(p, k, recKindDiscover, decodeDiscoverEntry)
 }
 
 // PutDiscover stores a discovery evaluation under k.
 func (p *Packed) PutDiscover(k Key, d DiscoverV1) error {
-	data, err := encodeDiscoverEntry(k, d)
-	if err != nil {
-		return err
-	}
-	return p.append(k, recKindDiscover, data)
+	return putEntry(p, k, recKindDiscover, d, encodeDiscoverEntry)
 }
 
 // Keys lists every live entry's key in sorted order.

@@ -5,7 +5,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"os"
 )
 
 // Proof entries share the store's directory layout, atomicity, and
@@ -96,28 +95,12 @@ func encodeProofEntry(k Key, p ProofV1) ([]byte, error) {
 
 // PutProof stores a proof verdict under key k, with the same atomic
 // write discipline as Put.
-func (s *Store) PutProof(k Key, p ProofV1) error {
-	data, err := encodeProofEntry(k, p)
-	if err != nil {
-		return err
-	}
-	return s.writeAtomic(k, data)
-}
+func (s *Store) PutProof(k Key, p ProofV1) error { return putFile(s, k, p, encodeProofEntry) }
 
 // GetProof returns the proof verdict stored under k. Every failure
 // mode — missing file, truncation, bit rot, key or kind mismatch,
 // unknown format version — reports a miss.
-func (s *Store) GetProof(k Key) (ProofV1, bool) {
-	data, err := os.ReadFile(s.path(k))
-	if err != nil {
-		return ProofV1{}, false
-	}
-	p, err := decodeProofEntry(k, data)
-	if err != nil {
-		return ProofV1{}, false
-	}
-	return p, true
-}
+func (s *Store) GetProof(k Key) (ProofV1, bool) { return getFile(s, k, decodeProofEntry) }
 
 // decodeProofEntry validates and decodes one proof entry file's bytes.
 func decodeProofEntry(k Key, data []byte) (ProofV1, error) {

@@ -204,8 +204,11 @@ func encodeCellEntry(k Key, row attacks.Row) ([]byte, error) {
 // concurrent reader sees either nothing or a complete entry, and
 // concurrent writers of the same key (which, by content addressing,
 // write identical payloads) cannot corrupt each other.
-func (s *Store) Put(k Key, row attacks.Row) error {
-	data, err := encodeCellEntry(k, row)
+func (s *Store) Put(k Key, row attacks.Row) error { return putFile(s, k, row, encodeCellEntry) }
+
+// putFile encodes v and writes it as k's entry file.
+func putFile[T any](s *Store, k Key, v T, encode func(Key, T) ([]byte, error)) error {
+	data, err := encode(k, v)
 	if err != nil {
 		return err
 	}
@@ -271,16 +274,20 @@ func syncDir(dir string) error {
 // Get returns the row stored under k. Every failure mode — missing
 // file, truncation, bit rot, key mismatch, unknown format version —
 // reports a miss; a corrupt entry is never served as a result.
-func (s *Store) Get(k Key) (attacks.Row, bool) {
+func (s *Store) Get(k Key) (attacks.Row, bool) { return getFile(s, k, decodeEntry) }
+
+// getFile reads and decodes k's entry file; every failure is a miss.
+func getFile[T any](s *Store, k Key, decode func(Key, []byte) (T, error)) (T, bool) {
+	var zero T
 	data, err := os.ReadFile(s.path(k))
 	if err != nil {
-		return attacks.Row{}, false
+		return zero, false
 	}
-	row, err := decodeEntry(k, data)
+	v, err := decode(k, data)
 	if err != nil {
-		return attacks.Row{}, false
+		return zero, false
 	}
-	return row, true
+	return v, true
 }
 
 // decodeEntry validates and decodes one entry file's bytes against the

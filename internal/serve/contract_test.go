@@ -152,3 +152,24 @@ func TestContractStreamReplay(t *testing.T) {
 		t.Fatalf("replayed stream differs from live stream:\n--- live ---\n%s\n--- replay ---\n%s", live, replay)
 	}
 }
+
+// TestSubmitAfterCloseIs503: a server that is shutting down refuses
+// new jobs with 503 Service Unavailable — the one submit failure that
+// is the server's, not the client's.
+func TestSubmitAfterCloseIs503(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(st, Config{Workers: 1})
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	spec := `{"Scenarios":["T4"],"Rounds":20,"Seeds":[11]}`
+	b := do(t, "POST", hs.URL+"/v1/jobs", `{"kind":"sweep","sweep":`+spec+`}`, http.StatusServiceUnavailable)
+	if !bytes.Contains(b, []byte(errShuttingDown.Error())) {
+		t.Fatalf("503 body does not name the shutdown:\n%s", b)
+	}
+}

@@ -26,12 +26,10 @@ type Job struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	// cells / proofCells / conformCells is the job's matrix, exactly
-	// one of them non-empty per kind — except a sweep with Proofs set,
-	// which carries proofCells too.
-	cells        []experiment.Cell
-	proofCells   []experiment.ProofCell
-	conformCells []experiment.ConformanceCell
+	// groups is the job's matrix as the scheduler's work units; total
+	// counts its cells.
+	groups [][]experiment.Unit
+	total  int
 
 	mu       sync.Mutex
 	changed  chan struct{} // closed and replaced on every mutation
@@ -47,11 +45,6 @@ type Job struct {
 	created  time.Time
 	started  time.Time
 	finished time.Time
-}
-
-// total is the job's matrix size.
-func (j *Job) total() int {
-	return len(j.cells) + len(j.proofCells) + len(j.conformCells)
 }
 
 // terminal reports whether a state is final.
@@ -108,7 +101,7 @@ func (j *Job) cellDone(label, source string, err error) {
 	case SourceJoined:
 		j.joined++
 	}
-	ev := Event{Type: "cell", Done: j.done, Total: j.total(), Cell: label, Source: source}
+	ev := Event{Type: "cell", Done: j.done, Total: j.total, Cell: label, Source: source}
 	if err != nil {
 		j.cellErrs++
 		ev.Type = "error"
@@ -127,7 +120,7 @@ func (j *Job) status() JobStatus {
 		Kind:       j.kind,
 		State:      j.state,
 		Shard:      j.req.Shard,
-		Total:      j.total(),
+		Total:      j.total,
 		Done:       j.done,
 		Executed:   j.executed,
 		StoreHits:  j.hits,

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"fmt"
 	"sync"
 
 	"timeprot/internal/attacks"
@@ -9,19 +8,16 @@ import (
 	"timeprot/internal/experiment/store"
 )
 
-// task is the scheduler's work unit: one finalisation group of attack
-// cells, or one proof/conformance cell, belonging to one job. Every
-// job's runner feeds its tasks into the one shared queue, so an idle
-// worker steals the next group regardless of which tenant submitted it
-// — cross-job work-stealing over the same partition unit the shard
-// machinery uses.
+// task is the scheduler's work unit: one group of cell units belonging
+// to one job — an attack sweep's finalisation group, or a single proof
+// or conformance cell. Every job's runner feeds its tasks into the one
+// shared queue, so an idle worker steals the next group regardless of
+// which tenant submitted it — cross-job work-stealing over the same
+// partition unit the shard machinery uses.
 type task struct {
-	job *Job
-	wg  *sync.WaitGroup
-
-	cells   []experiment.Cell
-	proof   *experiment.ProofCell
-	conform *experiment.ConformanceCell
+	job   *Job
+	wg    *sync.WaitGroup
+	units []experiment.Unit
 }
 
 // scheduler is the bounded worker pool shared by every job. Each
@@ -60,91 +56,30 @@ func (s *scheduler) worker() {
 	defer s.wg.Done()
 	cc := attacks.NewCellContext()
 	for t := range s.tasks {
-		for _, c := range t.cells {
-			s.runAttack(t.job, cc, c)
-		}
-		if t.proof != nil {
-			s.runProof(t.job, *t.proof)
-		}
-		if t.conform != nil {
-			s.runConform(t.job, *t.conform)
+		for _, u := range t.units {
+			s.runUnit(t.job, cc, u)
 		}
 		t.wg.Done()
 	}
 }
 
-// runAttack resolves one attack cell under the dedup discipline. A
-// cancelled job's remaining cells are skipped silently — they are not
-// failures, and another job that also wants them will flight them
-// itself.
-func (s *scheduler) runAttack(j *Job, cc *attacks.CellContext, c experiment.Cell) {
+// runUnit resolves one cell under the dedup discipline. A cancelled
+// job's remaining cells are skipped silently — they are not failures,
+// and another job that also wants them will flight them itself.
+func (s *scheduler) runUnit(j *Job, cc *attacks.CellContext, u experiment.Unit) {
 	if j.ctx.Err() != nil {
 		return
 	}
-	label := fmt.Sprintf("%s/%s seed=%d", c.ScenarioID, c.Variant, c.Seed)
-	key, ok := experiment.CellKey(c)
-	if !ok {
-		// Unreachable after submit-time validation; degrade to a cell error.
-		j.cellDone(label, SourceExecuted, fmt.Errorf("cell does not resolve against the registry"))
-		return
-	}
-	src, err := s.flight.Do(key,
-		func() bool { _, hit := s.store.Get(key); return hit },
+	src, err := s.flight.Do(u.Key,
+		func() bool { return u.Cached(s.store) },
 		func() error {
-			row, rerr := experiment.ExecuteCell(cc, c)
-			if rerr != nil {
-				return rerr
-			}
-			if perr := s.store.Put(key, row); perr != nil {
+			putErr, err := u.Execute(cc, s.store)
+			if putErr != nil {
 				s.stats.failedPut()
 			}
-			return nil
+			return err
 		})
-	j.cellDone(label, src, err)
-	s.stats.cellDone(src)
-}
-
-func (s *scheduler) runProof(j *Job, c experiment.ProofCell) {
-	if j.ctx.Err() != nil {
-		return
-	}
-	label := fmt.Sprintf("proof %s/%s fam=%d seed=%d", c.Model, c.Ablation, c.Families, c.Seed)
-	key := experiment.ProofKey(c)
-	src, err := s.flight.Do(key,
-		func() bool { _, hit := s.store.GetProof(key); return hit },
-		func() error {
-			p, rerr := experiment.ExecuteProofCell(c)
-			if rerr != nil {
-				return rerr
-			}
-			if perr := s.store.PutProof(key, p); perr != nil {
-				s.stats.failedPut()
-			}
-			return nil
-		})
-	j.cellDone(label, src, err)
-	s.stats.cellDone(src)
-}
-
-func (s *scheduler) runConform(j *Job, c experiment.ConformanceCell) {
-	if j.ctx.Err() != nil {
-		return
-	}
-	label := fmt.Sprintf("conform %s/%s pair=%d seed=%d", c.Model, c.Ablation, c.Pair, c.Seed)
-	key := experiment.ConformKey(c)
-	src, err := s.flight.Do(key,
-		func() bool { _, hit := s.store.GetConform(key); return hit },
-		func() error {
-			cv, rerr := experiment.ExecuteConformCell(c)
-			if rerr != nil {
-				return rerr
-			}
-			if perr := s.store.PutConform(key, cv); perr != nil {
-				s.stats.failedPut()
-			}
-			return nil
-		})
-	j.cellDone(label, src, err)
+	j.cellDone(u.Label, src, err)
 	s.stats.cellDone(src)
 }
 

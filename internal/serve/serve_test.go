@@ -3,8 +3,10 @@ package serve_test
 import (
 	"bytes"
 	"net/http/httptest"
+	"sync"
 	"testing"
 
+	"timeprot/internal/cliutil"
 	"timeprot/internal/experiment"
 	"timeprot/internal/experiment/store"
 	"timeprot/internal/serve"
@@ -246,5 +248,123 @@ func TestCancel(t *testing.T) {
 	}
 	if _, err := c.Result(sub.ID); err == nil {
 		t.Fatal("result of a canceled job did not error")
+	}
+}
+
+// kindCase is one job kind for the cross-kind service tests: its
+// request, and the bytes the in-process engine emits for a shard.
+type kindCase struct {
+	name string
+	req  serve.SubmitRequest
+	cold func(sh experiment.ShardSel) ([]byte, error)
+}
+
+func kindCases() []kindCase {
+	sweep := smallSweep()
+	proof := experiment.ProofSpec{
+		Models: []string{"base"}, Ablations: []string{"full protection", "no flush", "no pad"},
+		Families: []int{1}, Random: 5, Seeds: []uint64{7},
+	}
+	conf := experiment.ConformanceSpec{
+		Models: []string{"base"}, Ablations: []string{"full protection", "no pad"},
+		Pairs: 2, Rounds: 10, Families: 1, Seeds: []uint64{7},
+	}
+	return []kindCase{
+		{"sweep", serve.SubmitRequest{Kind: serve.KindSweep, Sweep: &sweep}, func(sh experiment.ShardSel) ([]byte, error) {
+			rep, err := experiment.Run(sweep, experiment.Options{Shard: sh})
+			if err != nil {
+				return nil, err
+			}
+			var buf bytes.Buffer
+			err = experiment.WriteJSON(&buf, rep)
+			return buf.Bytes(), err
+		}},
+		{"proof", serve.SubmitRequest{Kind: serve.KindProof, Proof: &proof}, func(sh experiment.ShardSel) ([]byte, error) {
+			m, err := experiment.RunProofMatrix(proof, experiment.ProofOptions{Shard: sh})
+			if err != nil {
+				return nil, err
+			}
+			var buf bytes.Buffer
+			err = experiment.WriteProofsJSON(&buf, m)
+			return buf.Bytes(), err
+		}},
+		{"conform", serve.SubmitRequest{Kind: serve.KindConform, Conform: &conf}, func(sh experiment.ShardSel) ([]byte, error) {
+			m, err := experiment.RunConformance(conf, experiment.ConformanceOptions{Shard: sh})
+			if err != nil {
+				return nil, err
+			}
+			var buf bytes.Buffer
+			err = experiment.WriteConformanceJSON(&buf, m)
+			return buf.Bytes(), err
+		}},
+	}
+}
+
+// TestKindsDedupAndShards holds every job kind to the service contract
+// the sweep load test checks: a job, its duplicate and its two 1/2
+// shards submitted concurrently execute each distinct key exactly once,
+// and every served report — full or sharded — is byte-identical to the
+// in-process engine run with the same shard selection.
+func TestKindsDedupAndShards(t *testing.T) {
+	for _, kc := range kindCases() {
+		t.Run(kc.name, func(t *testing.T) {
+			_, c := newTestServer(t, serve.Config{Workers: 2})
+			shards := []string{"", "", "0/2", "1/2"}
+			ids := make([]string, len(shards))
+			errs := make([]error, len(shards))
+			var wg sync.WaitGroup
+			for i, sh := range shards {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					req := kc.req
+					req.Shard = sh
+					sub, err := c.Submit(req)
+					if err != nil {
+						errs[i] = err
+						return
+					}
+					ids[i] = sub.ID
+					_, errs[i] = c.Wait(sub.ID)
+				}()
+			}
+			wg.Wait()
+			for i, sh := range shards {
+				if errs[i] != nil {
+					t.Fatalf("job %q: %v", sh, errs[i])
+				}
+				st, err := c.Status(ids[i])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st.State != serve.StateDone || st.CellErrors != 0 ||
+					st.Executed+st.StoreHits+st.Joined != st.Total {
+					t.Fatalf("job %q finished %+v", sh, st)
+				}
+				sel, err := cliutil.ParseShard(sh)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := kc.cold(sel)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := c.Result(ids[i])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Fatalf("job %q: served report differs from the engine run with the same shard", sh)
+				}
+			}
+			stats, err := c.Stats()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stats.Executed != stats.DistinctKeys || stats.FailedPuts != 0 {
+				t.Fatalf("dedup invariant violated: executed %d for %d distinct keys (%d failed puts)",
+					stats.Executed, stats.DistinctKeys, stats.FailedPuts)
+			}
+		})
 	}
 }

@@ -109,20 +109,80 @@ func (s *Server) Close() error {
 	return s.closeErr
 }
 
-// expanded is a submit request resolved into its cell matrices and
-// their store keys.
-type expanded struct {
-	shard   experiment.ShardSel
-	cells   []experiment.Cell
-	proofs  []experiment.ProofCell
-	conform []experiment.ConformanceCell
-	keys    []store.Key
+// jobKind is one row of the service's kind table: how a request of the
+// kind is planned into the scheduler's units, and how its report is
+// assembled.
+type jobKind struct {
+	// plan expands the request's spec into one shard's units.
+	plan func(req SubmitRequest, sh experiment.ShardSel) ([][]experiment.Unit, error)
+	// report runs the kind's engine runner for job j on server s and
+	// writes the report JSON.
+	report func(s *Server, j *Job, w io.Writer) error
 }
 
-// expand validates a submit request and expands it into its (sharded)
-// matrix. Every failure here is the client's: a 400, never a job.
-func expand(req SubmitRequest) (expanded, error) {
-	var ex expanded
+// runOptions are the engine options a job's report is assembled with.
+func runOptions[C any](s *Server, j *Job) experiment.RunOptions[C] {
+	return experiment.RunOptions[C]{Parallelism: s.workers, Store: s.store, Shard: j.shard, Context: j.ctx}
+}
+
+// jobKinds maps each SubmitRequest.Kind to its row.
+var jobKinds = map[string]jobKind{
+	KindSweep: {
+		plan: func(req SubmitRequest, sh experiment.ShardSel) ([][]experiment.Unit, error) {
+			if req.Sweep == nil {
+				return nil, fmt.Errorf("kind %q needs the sweep spec", req.Kind)
+			}
+			return experiment.PlanSweep(*req.Sweep, sh)
+		},
+		report: func(s *Server, j *Job, w io.Writer) error {
+			rep, err := experiment.Run(*j.req.Sweep, runOptions[experiment.Cell](s, j))
+			if err != nil {
+				return err
+			}
+			return experiment.WriteJSON(w, rep)
+		},
+	},
+	KindProof: {
+		plan: func(req SubmitRequest, sh experiment.ShardSel) ([][]experiment.Unit, error) {
+			if req.Proof == nil {
+				return nil, fmt.Errorf("kind %q needs the proof spec", req.Kind)
+			}
+			return experiment.PlanProofs(*req.Proof, sh)
+		},
+		report: func(s *Server, j *Job, w io.Writer) error {
+			m, err := experiment.RunProofMatrix(*j.req.Proof, runOptions[experiment.ProofCell](s, j))
+			if err != nil {
+				return err
+			}
+			return experiment.WriteProofsJSON(w, m)
+		},
+	},
+	KindConform: {
+		plan: func(req SubmitRequest, sh experiment.ShardSel) ([][]experiment.Unit, error) {
+			if req.Conform == nil {
+				return nil, fmt.Errorf("kind %q needs the conform spec", req.Kind)
+			}
+			return experiment.PlanConformance(*req.Conform, sh)
+		},
+		report: func(s *Server, j *Job, w io.Writer) error {
+			m, err := experiment.RunConformance(*j.req.Conform, runOptions[experiment.ConformanceCell](s, j))
+			if err != nil {
+				return err
+			}
+			return experiment.WriteConformanceJSON(w, m)
+		},
+	},
+}
+
+// errShuttingDown refuses a submission to a closing server (a 503).
+var errShuttingDown = errors.New("server is shutting down")
+
+// Submit accepts a request programmatically — the HTTP submit handler
+// over a direct call. The request is validated and expanded into its
+// (sharded) matrix first, so every failure but shutdown is the
+// client's: a 400, never a failed job. The returned job is already
+// scheduled.
+func (s *Server) Submit(req SubmitRequest) (*Job, error) {
 	specs := 0
 	for _, set := range []bool{req.Sweep != nil, req.Proof != nil, req.Conform != nil} {
 		if set {
@@ -130,126 +190,56 @@ func expand(req SubmitRequest) (expanded, error) {
 		}
 	}
 	if specs != 1 {
-		return ex, fmt.Errorf("want exactly one spec (sweep, proof, or conform), got %d", specs)
+		return nil, fmt.Errorf("want exactly one spec (sweep, proof, or conform), got %d", specs)
 	}
 	sel, err := cliutil.ParseShard(req.Shard)
 	if err != nil {
-		return ex, err
+		return nil, err
 	}
-	ex.shard = sel
-	switch req.Kind {
-	case KindSweep:
-		if req.Sweep == nil {
-			return ex, fmt.Errorf("kind %q needs the sweep spec", req.Kind)
-		}
-		cells, err := req.Sweep.Cells()
-		if err != nil {
-			return ex, err
-		}
-		if ex.cells, err = experiment.ShardCells(cells, sel); err != nil {
-			return ex, err
-		}
-		for _, c := range ex.cells {
-			k, ok := experiment.CellKey(c)
-			if !ok {
-				return ex, fmt.Errorf("cell %s/%s does not resolve against the registry", c.ScenarioID, c.Variant)
-			}
-			ex.keys = append(ex.keys, k)
-		}
-		// Mirror the engine: only shard 0 of a sharded sweep carries the
-		// proof matrix, and it is never sub-sharded.
-		if req.Sweep.Proofs && (sel.Count <= 1 || sel.Index == 0) {
-			pcells, err := experiment.SweepProofSpec(*req.Sweep).Cells()
-			if err != nil {
-				return ex, err
-			}
-			ex.proofs = pcells
-			for _, c := range pcells {
-				ex.keys = append(ex.keys, experiment.ProofKey(c))
-			}
-		}
-	case KindProof:
-		if req.Proof == nil {
-			return ex, fmt.Errorf("kind %q needs the proof spec", req.Kind)
-		}
-		cells, err := req.Proof.Cells()
-		if err != nil {
-			return ex, err
-		}
-		if ex.proofs, err = experiment.ShardProofCells(cells, sel); err != nil {
-			return ex, err
-		}
-		for _, c := range ex.proofs {
-			ex.keys = append(ex.keys, experiment.ProofKey(c))
-		}
-	case KindConform:
-		if req.Conform == nil {
-			return ex, fmt.Errorf("kind %q needs the conform spec", req.Kind)
-		}
-		cells, err := req.Conform.Cells()
-		if err != nil {
-			return ex, err
-		}
-		if ex.conform, err = experiment.ShardConformCells(cells, sel); err != nil {
-			return ex, err
-		}
-		for _, c := range ex.conform {
-			ex.keys = append(ex.keys, experiment.ConformKey(c))
-		}
-	default:
-		return ex, fmt.Errorf("unknown kind %q (want %s, %s, or %s)", req.Kind, KindSweep, KindProof, KindConform)
+	kind, ok := jobKinds[req.Kind]
+	if !ok {
+		return nil, fmt.Errorf("unknown kind %q (want %s, %s, or %s)", req.Kind, KindSweep, KindProof, KindConform)
 	}
-	return ex, nil
-}
-
-// Submit accepts a request programmatically — the HTTP submit handler
-// over a direct call. The returned job is already scheduled.
-func (s *Server) Submit(req SubmitRequest) (*Job, error) {
-	ex, err := expand(req)
+	groups, err := kind.plan(req, sel)
 	if err != nil {
 		return nil, err
 	}
+	var keys []store.Key
+	for _, g := range groups {
+		for _, u := range g {
+			keys = append(keys, u.Key)
+		}
+	}
+
 	s.closeMu.Lock()
 	if s.closed {
 		s.closeMu.Unlock()
-		return nil, fmt.Errorf("server is shutting down")
+		return nil, errShuttingDown
 	}
 	j := s.reg.add(s.ctx, req, s.now())
-	j.shard = ex.shard
-	j.cells = ex.cells
-	j.proofCells = ex.proofs
-	j.conformCells = ex.conform
-	s.stats.addJob(ex.keys)
+	j.shard = sel
+	j.groups = groups
+	j.total = len(keys)
+	s.stats.addJob(keys)
 	s.jobs.Add(1)
 	s.closeMu.Unlock()
-	go s.runJob(j)
+	go s.runJob(j, kind)
 	return j, nil
 }
 
 // runJob is one job's runner: feed the job's tasks to the shared
 // scheduler, wait for them, then assemble the report warm from the
 // store and finish.
-func (s *Server) runJob(j *Job) {
+func (s *Server) runJob(j *Job, kind jobKind) {
 	defer s.jobs.Done()
 	j.setState(StateRunning, s.now(), "")
 
 	var wg sync.WaitGroup
-	tasks := make([]task, 0, len(j.proofCells)+len(j.conformCells)+1)
-	for _, g := range experiment.FinalizationGroups(j.cells) {
-		tasks = append(tasks, task{job: j, cells: g})
-	}
-	for i := range j.proofCells {
-		tasks = append(tasks, task{job: j, proof: &j.proofCells[i]})
-	}
-	for i := range j.conformCells {
-		tasks = append(tasks, task{job: j, conform: &j.conformCells[i]})
-	}
 feed:
-	for i := range tasks {
-		tasks[i].wg = &wg
+	for _, g := range j.groups {
 		wg.Add(1)
 		select {
-		case s.sched.tasks <- tasks[i]:
+		case s.sched.tasks <- task{job: j, wg: &wg, units: g}:
 		case <-j.ctx.Done():
 			wg.Done()
 			break feed
@@ -261,60 +251,23 @@ feed:
 		j.setState(StateCanceled, s.now(), "")
 		return
 	}
-	body, err := s.assemble(j)
-	if err != nil {
-		if j.ctx.Err() != nil {
-			j.setState(StateCanceled, s.now(), "")
-		} else {
-			j.setState(StateFailed, s.now(), err.Error())
-		}
-		return
-	}
-	j.setResult(body)
-	j.setState(StateDone, s.now(), "")
-}
-
-// assemble produces the job's report by running the ordinary engine
-// runner against the now-warm shared store — the exact bytes the
-// matching CLI would emit for the same spec, which is what makes served
-// results comparable (and committed-golden-testable) against cold
-// single-process runs. The store serves every cell the scheduler filled
-// in; anything missing (a failed write-back) re-executes here, so the
-// report is always complete.
-func (s *Server) assemble(j *Job) ([]byte, error) {
-	var buf bytes.Buffer
-	switch j.kind {
-	case KindSweep:
-		rep, err := experiment.Run(*j.req.Sweep, experiment.Options{
-			Parallelism: s.workers, Store: s.store, Shard: j.shard, Context: j.ctx})
-		if err != nil {
-			return nil, err
-		}
-		if err := experiment.WriteJSON(&buf, rep); err != nil {
-			return nil, err
-		}
-	case KindProof:
-		m, err := experiment.RunProofMatrix(*j.req.Proof, experiment.ProofOptions{
-			Parallelism: s.workers, Store: s.store, Shard: j.shard, Context: j.ctx})
-		if err != nil {
-			return nil, err
-		}
-		if err := experiment.WriteProofsJSON(&buf, m); err != nil {
-			return nil, err
-		}
-	case KindConform:
-		m, err := experiment.RunConformance(*j.req.Conform, experiment.ConformanceOptions{
-			Parallelism: s.workers, Store: s.store, Shard: j.shard, Context: j.ctx})
-		if err != nil {
-			return nil, err
-		}
-		if err := experiment.WriteConformanceJSON(&buf, m); err != nil {
-			return nil, err
-		}
+	// Assemble the report by running the ordinary engine runner against
+	// the now-warm shared store — the exact bytes the matching CLI would
+	// emit for the same spec, which is what makes served results
+	// comparable (and committed-golden-testable) against cold
+	// single-process runs. The store serves every cell the scheduler
+	// filled in; anything missing (a failed write-back) re-executes
+	// here, so the report is always complete.
+	var body bytes.Buffer
+	switch err := kind.report(s, j, &body); {
+	case err == nil:
+		j.setResult(body.Bytes())
+		j.setState(StateDone, s.now(), "")
+	case j.ctx.Err() != nil:
+		j.setState(StateCanceled, s.now(), "")
 	default:
-		return nil, fmt.Errorf("unknown kind %q", j.kind)
+		j.setState(StateFailed, s.now(), err.Error())
 	}
-	return buf.Bytes(), nil
 }
 
 // ---- HTTP handlers ----
@@ -369,14 +322,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	j, err := s.Submit(req)
 	if err != nil {
 		code := http.StatusBadRequest
-		if err.Error() == "server is shutting down" {
+		if errors.Is(err, errShuttingDown) {
 			code = http.StatusServiceUnavailable
 		}
 		writeErr(w, code, "%v", err)
 		return
 	}
 	writeJSON(w, http.StatusAccepted, SubmitResponse{
-		ID: j.id, Kind: j.kind, State: StateQueued, Cells: j.total(),
+		ID: j.id, Kind: j.kind, State: StateQueued, Cells: j.total,
 	})
 }
 

@@ -1,7 +1,7 @@
 package serve
 
 import (
-	"fmt"
+	"errors"
 	"sync"
 
 	"timeprot/internal/attacks"
@@ -34,83 +34,65 @@ func (s *syncStore) Dir() string {
 	return s.st.Dir()
 }
 
-func (s *syncStore) Get(k store.Key) (attacks.Row, bool) {
+// errStoreClosed fails a write to the store after Close.
+var errStoreClosed = errors.New("serve: store is closed")
+
+// get is every typed read: f runs under the read lock, and a closed
+// store is a miss.
+func get[T any](s *syncStore, k store.Key, f func(store.CellStore, store.Key) (T, bool)) (T, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.closed {
-		return attacks.Row{}, false
+		var zero T
+		return zero, false
 	}
-	return s.st.Get(k)
+	return f(s.st, k)
 }
 
-func (s *syncStore) Put(k store.Key, row attacks.Row) error {
+// put is every typed write: f runs under the writer lock, and a closed
+// store fails the write.
+func put[T any](s *syncStore, k store.Key, v T, f func(store.CellStore, store.Key, T) error) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return fmt.Errorf("serve: store is closed")
+		return errStoreClosed
 	}
-	return s.st.Put(k, row)
+	return f(s.st, k, v)
+}
+
+func (s *syncStore) Get(k store.Key) (attacks.Row, bool) {
+	return get(s, k, store.CellStore.Get)
+}
+func (s *syncStore) Put(k store.Key, row attacks.Row) error {
+	return put(s, k, row, store.CellStore.Put)
 }
 
 func (s *syncStore) GetProof(k store.Key) (store.ProofV1, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed {
-		return store.ProofV1{}, false
-	}
-	return s.st.GetProof(k)
+	return get(s, k, store.CellStore.GetProof)
 }
-
 func (s *syncStore) PutProof(k store.Key, p store.ProofV1) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return fmt.Errorf("serve: store is closed")
-	}
-	return s.st.PutProof(k, p)
+	return put(s, k, p, store.CellStore.PutProof)
 }
 
 func (s *syncStore) GetConform(k store.Key) (store.ConformV1, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed {
-		return store.ConformV1{}, false
-	}
-	return s.st.GetConform(k)
+	return get(s, k, store.CellStore.GetConform)
 }
-
 func (s *syncStore) PutConform(k store.Key, c store.ConformV1) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return fmt.Errorf("serve: store is closed")
-	}
-	return s.st.PutConform(k, c)
+	return put(s, k, c, store.CellStore.PutConform)
 }
 
 func (s *syncStore) GetDiscover(k store.Key) (store.DiscoverV1, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed {
-		return store.DiscoverV1{}, false
-	}
-	return s.st.GetDiscover(k)
+	return get(s, k, store.CellStore.GetDiscover)
 }
-
 func (s *syncStore) PutDiscover(k store.Key, d store.DiscoverV1) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return fmt.Errorf("serve: store is closed")
-	}
-	return s.st.PutDiscover(k, d)
+	return put(s, k, d, store.CellStore.PutDiscover)
 }
 
 func (s *syncStore) Keys() ([]store.Key, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.closed {
-		return nil, fmt.Errorf("serve: store is closed")
+		return nil, errStoreClosed
 	}
 	return s.st.Keys()
 }
@@ -119,7 +101,7 @@ func (s *syncStore) Len() (int, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.closed {
-		return 0, fmt.Errorf("serve: store is closed")
+		return 0, errStoreClosed
 	}
 	return s.st.Len()
 }
@@ -131,7 +113,7 @@ func (s *syncStore) MergeFrom(src string) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return 0, fmt.Errorf("serve: store is closed")
+		return 0, errStoreClosed
 	}
 	return s.st.MergeFrom(src)
 }
