@@ -1,6 +1,8 @@
 package timeprot
 
 import (
+	"bytes"
+	"fmt"
 	"os"
 	"strings"
 	"testing"
@@ -135,6 +137,45 @@ func TestProofsRegenCommand(t *testing.T) {
 	if !strings.Contains(t1, "PROOFS.md") {
 		t.Error("EXPERIMENTS.md §T1 does not cross-reference PROOFS.md")
 	}
+}
+
+// TestProofsColdRegen regenerates PROOFS.md cold — every proof cell
+// executed, no store — from the exact spec of its embedded tpprove
+// command (all ablations × all models, 5 families, 200 random
+// programs, seed 42) and requires the committed document byte for byte.
+// golden_proofs.json pins only the base model cold; this is the cold
+// pin of every model's lemma counts, witnesses and bounded verdicts, so
+// a prover optimisation that changes any of them fails here rather than
+// hiding behind a warm store replay.
+func TestProofsColdRegen(t *testing.T) {
+	m, err := experiment.RunProofMatrix(experiment.ProofSpec{
+		Ablations: []string{"all"},
+		Models:    []string{"all"},
+		Families:  []int{5},
+		Random:    200,
+		Seeds:     []uint64{42},
+	}, experiment.ProofOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := experiment.WriteProofsMarkdown(&buf, m); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := buf.String(), readDoc(t, "PROOFS.md"); got != want {
+		t.Errorf("cold regeneration differs from the committed PROOFS.md:\n%s", firstLineDiff(got, want))
+	}
+}
+
+// firstLineDiff names the first line at which two documents differ.
+func firstLineDiff(got, want string) string {
+	g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
+	for i := 0; i < len(g) && i < len(w); i++ {
+		if g[i] != w[i] {
+			return fmt.Sprintf("line %d:\n got: %s\nwant: %s", i+1, g[i], w[i])
+		}
+	}
+	return fmt.Sprintf("length: got %d lines, want %d", len(g), len(w))
 }
 
 // TestDocsCoverConformance is the conformance-side completeness check:

@@ -443,18 +443,12 @@ func spawn(sys *kernel.System, domain int, name string, cpu int, p kernel.Progra
 	}
 }
 
-// MeasureConcrete runs the concrete side of one conformance cell on a
-// fresh cell context.
-func MeasureConcrete(prot core.Config, pair Pair, p Params, seed uint64) ConcreteResult {
-	return MeasureConcreteIn(attacks.NewCellContext(), prot, pair, p, seed, nil)
-}
-
 // MeasureConcreteIn runs the concrete transmission of a pair under a
 // protection configuration on a per-worker arena: machine construction
 // comes from the context's pool and, when cov is non-nil, the run's
 // microarchitectural transitions are recorded into it. Both are
-// invisible to the measurement — the result is bit-identical to
-// MeasureConcrete for the same inputs.
+// invisible to the measurement — the result is bit-identical to a run
+// on a fresh context (attacks.NewCellContext()) without coverage.
 func MeasureConcreteIn(cc *attacks.CellContext, prot core.Config, pair Pair, p Params, seed uint64, cov *cover.Map) ConcreteResult {
 	cc.BeginRun()
 	defer cc.EndRun()

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"timeprot/internal/attacks"
 	"timeprot/internal/core"
 	"timeprot/internal/prove/absmodel"
 )
@@ -118,7 +119,7 @@ func TestCheckAbstractFullProtectionAccepts(t *testing.T) {
 func TestConcreteDetectsUnprotectedLeak(t *testing.T) {
 	cfg := absmodel.DefaultConfig()
 	p := Pair{HiA: repeated(0, progLen(cfg)), HiB: repeated(1, progLen(cfg))}
-	res := MeasureConcrete(core.NoProtection(), p, DefaultParams(24), 42)
+	res := MeasureConcreteIn(attacks.NewCellContext(), core.NoProtection(), p, DefaultParams(24), 42, nil)
 	if !res.Leak {
 		t.Fatalf("no leak measured on an unprotected distinct pair: %+v", res)
 	}
@@ -130,7 +131,7 @@ func TestConcreteDetectsUnprotectedLeak(t *testing.T) {
 func TestConcreteFullProtectionQuiet(t *testing.T) {
 	cfg := absmodel.DefaultConfig()
 	p := Pair{HiA: repeated(0, progLen(cfg)), HiB: repeated(1, progLen(cfg))}
-	res := MeasureConcrete(core.FullProtection(), p, DefaultParams(24), 42)
+	res := MeasureConcreteIn(attacks.NewCellContext(), core.FullProtection(), p, DefaultParams(24), 42, nil)
 	if res.Leak {
 		t.Fatalf("full protection leaked: %+v", res)
 	}
@@ -160,7 +161,7 @@ func TestCheckFullProtection(t *testing.T) {
 	cfg := absmodel.DefaultConfig()
 	for seed := uint64(1); seed <= 3; seed++ {
 		p := Generate(cfg, seed)
-		out := Check(cfg, core.FullProtection(), p, Opts{
+		out := Check(attacks.NewCellContext(), cfg, core.FullProtection(), p, Opts{
 			Families: 2, FamilySeed: 42, MeasureSeed: seed, Params: DefaultParams(16),
 		})
 		if out.Verdict == VerdictViolation {
@@ -181,7 +182,7 @@ func TestCheckUnflushed(t *testing.T) {
 	prot := core.FullProtection()
 	prot.FlushOnSwitch = false
 	p := Pair{HiA: repeated(0, progLen(cfg)), HiB: repeated(1, progLen(cfg))}
-	out := Check(cfg, prot, p, Opts{
+	out := Check(attacks.NewCellContext(), cfg, prot, p, Opts{
 		Families: 2, FamilySeed: 42, MeasureSeed: 9, Params: DefaultParams(16),
 	})
 	if out.Abstract.Accepts {

@@ -86,7 +86,7 @@ func TestMeasureConcreteInMatchesFresh(t *testing.T) {
 	p := DefaultParams(10)
 	prot := core.FullProtection()
 
-	fresh := MeasureConcrete(prot, pair, p, 99)
+	fresh := MeasureConcreteIn(attacks.NewCellContext(), prot, pair, p, 99, nil)
 
 	cc := attacks.NewCellContext()
 	cov := &cover.Map{}
@@ -113,13 +113,13 @@ func TestNoisePairRunsAndStaysSymbolIndependent(t *testing.T) {
 
 	// The noise domain must not break the run or the labelling under
 	// either extreme of the protection surface.
-	full := MeasureConcrete(core.FullProtection(), pair, p, 123)
+	full := MeasureConcreteIn(attacks.NewCellContext(), core.FullProtection(), pair, p, 123, nil)
 	if len(full.Channels) != 4 {
 		t.Fatalf("got %d streams, want 4", len(full.Channels))
 	}
 	open := core.FullProtection()
 	open.FlushOnSwitch = false
-	res := MeasureConcrete(open, pair, p, 123)
+	res := MeasureConcreteIn(attacks.NewCellContext(), open, pair, p, 123, nil)
 	if len(res.Channels) != 4 {
 		t.Fatalf("got %d streams, want 4", len(res.Channels))
 	}
@@ -128,14 +128,14 @@ func TestNoisePairRunsAndStaysSymbolIndependent(t *testing.T) {
 	// report a CI-certain leak, noise or not.
 	ident := Pair{HiA: pair.HiA, HiB: append([]absmodel.Action(nil), pair.HiA...), Noise: pair.Noise}
 	for _, prot := range []core.Config{core.FullProtection(), open} {
-		r := MeasureConcrete(prot, ident, p, 77)
+		r := MeasureConcreteIn(attacks.NewCellContext(), prot, ident, p, 77, nil)
 		if r.Leak {
 			t.Fatalf("identical-program pair with noise measured a certain leak under %+v", prot)
 		}
 	}
 
 	// Determinism with a third domain in the schedule.
-	r1 := MeasureConcrete(open, pair, p, 123)
+	r1 := MeasureConcreteIn(attacks.NewCellContext(), open, pair, p, 123, nil)
 	if !reflect.DeepEqual(res, r1) {
 		t.Fatal("noise-pair measurement is not deterministic")
 	}

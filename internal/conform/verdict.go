@@ -1,6 +1,7 @@
 package conform
 
 import (
+	"timeprot/internal/attacks"
 	"timeprot/internal/core"
 	"timeprot/internal/prove/absmodel"
 	"timeprot/internal/prove/nonintf"
@@ -91,9 +92,9 @@ var confirmSeeds = [...]uint64{0xC0417172, 0x1D05E5E1}
 // is a fatal claim — so a leak only counts against an accepting prover
 // if it replicates under every independent measurement seed. A real
 // channel is systematic and survives reseeding; noise does not.
-func confirmLeak(prot core.Config, pair Pair, o Opts) bool {
+func confirmLeak(cc *attacks.CellContext, prot core.Config, pair Pair, o Opts) bool {
 	for _, d := range confirmSeeds {
-		if !MeasureConcrete(prot, pair, o.Params, o.MeasureSeed^d).Leak {
+		if !MeasureConcreteIn(cc, prot, pair, o.Params, o.MeasureSeed^d, nil).Leak {
 			return false
 		}
 	}
@@ -105,18 +106,20 @@ func confirmLeak(prot core.Config, pair Pair, o Opts) bool {
 // always carries the screening measurement verbatim; a screening leak
 // that fails replication classifies as sound (Concrete.Leak may then
 // read true on a sound cell — the measurement is reported, not
-// falsified).
-func Check(cfg absmodel.Config, prot core.Config, pair Pair, o Opts) Outcome {
+// falsified). Every concrete run — screening, replication and each
+// shrink evaluation — draws its machine from cc, the caller's per-worker
+// context; the context never changes a measurement.
+func Check(cc *attacks.CellContext, cfg absmodel.Config, prot core.Config, pair Pair, o Opts) Outcome {
 	out := Outcome{Pair: pair}
 	out.Abstract = CheckAbstract(cfg, pair, o.Families, o.FamilySeed)
-	out.Concrete = MeasureConcrete(prot, pair, o.Params, o.MeasureSeed)
+	out.Concrete = MeasureConcreteIn(cc, prot, pair, o.Params, o.MeasureSeed, nil)
 	leak := out.Concrete.Leak
 	if out.Abstract.Accepts && leak {
-		leak = confirmLeak(prot, pair, o)
+		leak = confirmLeak(cc, prot, pair, o)
 	}
 	out.Verdict = Classify(out.Abstract.Accepts, leak)
 	if out.Verdict == VerdictViolation {
-		out.Witness = minimizeViolation(cfg, prot, pair, o)
+		out.Witness = minimizeViolation(cc, cfg, prot, pair, o)
 	}
 	return out
 }
@@ -125,17 +128,17 @@ func Check(cfg absmodel.Config, prot core.Config, pair Pair, o Opts) Outcome {
 // shrink machinery against the conjunction of both sides: the minimal
 // pair is still abstractly accepted AND still concretely leaking, so
 // every remaining action is load-bearing for the soundness gap.
-func minimizeViolation(cfg absmodel.Config, prot core.Config, pair Pair, o Opts) *ViolationWitness {
+func minimizeViolation(cc *attacks.CellContext, cfg absmodel.Config, prot core.Config, pair Pair, o Opts) *ViolationWitness {
 	still := func(a, b []absmodel.Action) bool {
 		p := Pair{HiA: a, HiB: b}
 		if !CheckAbstract(cfg, p, o.Families, o.FamilySeed).Accepts {
 			return false
 		}
-		return MeasureConcrete(prot, p, o.Params, o.MeasureSeed).Leak &&
-			confirmLeak(prot, p, o)
+		return MeasureConcreteIn(cc, prot, p, o.Params, o.MeasureSeed, nil).Leak &&
+			confirmLeak(cc, prot, p, o)
 	}
 	hiA, hiB, evals := nonintf.MinimizeWith(pair.HiA, pair.HiB, still)
-	res := MeasureConcrete(prot, Pair{HiA: hiA, HiB: hiB}, o.Params, o.MeasureSeed)
+	res := MeasureConcreteIn(cc, prot, Pair{HiA: hiA, HiB: hiB}, o.Params, o.MeasureSeed, nil)
 	w := &ViolationWitness{HiA: hiA, HiB: hiB, ShrinkEvals: evals}
 	for _, ch := range res.Channels {
 		if leakCertain(ch.Est) {

@@ -318,10 +318,9 @@ var conformKind = matrixKind[ConformanceCell, ConformanceCellResult]{
 	},
 }
 
-// runConformCell executes one conformance cell, converting harness
-// panics into per-cell errors. The harness builds its own concrete
-// machine, so the worker's cell context goes unused.
-func runConformCell(_ *attacks.CellContext, c ConformanceCell) (res ConformanceCellResult) {
+// runConformCell executes one conformance cell on the worker's cell
+// context, converting harness panics into per-cell errors.
+func runConformCell(cc *attacks.CellContext, c ConformanceCell) (res ConformanceCellResult) {
 	res.ConformanceCell = c
 	defer func() {
 		if p := recover(); p != nil {
@@ -329,7 +328,7 @@ func runConformCell(_ *attacks.CellContext, c ConformanceCell) (res ConformanceC
 		}
 	}()
 	pair := conform.Generate(c.Cfg, c.PairSeed)
-	out := conform.Check(c.Cfg, c.Prot, pair, conform.Opts{
+	out := conform.Check(cc, c.Cfg, c.Prot, pair, conform.Opts{
 		Families:    c.Families,
 		FamilySeed:  c.Seed,
 		MeasureSeed: c.PairSeed,

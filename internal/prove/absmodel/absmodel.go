@@ -215,10 +215,31 @@ func NewMachine(cfg Config, f Funcs) *Machine {
 // Reset returns the initial state: all digests in the defined reset
 // state (zero), clock zero, domain 0 (Hi) running.
 func (m *Machine) Reset() *State {
-	return &State{
-		LLCBanks:   make([]uint64, m.Cfg.Domains),
-		KTextBanks: make([]uint64, m.Cfg.Domains),
+	s := new(State)
+	m.ResetInto(s)
+	return s
+}
+
+// ResetInto puts a caller-owned state into the initial state of Reset
+// in place, keeping its bank and interrupt storage: once the state has
+// held this machine's banks, resetting it allocates nothing.
+func (m *Machine) ResetInto(s *State) {
+	llc, ktext, irqs := s.LLCBanks, s.KTextBanks, s.irqs
+	*s = State{
+		LLCBanks:   zeroed(llc, m.Cfg.Domains),
+		KTextBanks: zeroed(ktext, m.Cfg.Domains),
+		irqs:       irqs[:0],
 	}
+}
+
+// zeroed returns n zero digests, reusing buf's storage when it fits.
+func zeroed(buf []uint64, n int) []uint64 {
+	if cap(buf) < n {
+		return make([]uint64, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
 }
 
 // PendingIRQ is an externally visible pending interrupt.
@@ -229,8 +250,8 @@ type PendingIRQ struct {
 	Owner int
 }
 
-// PendingIRQs returns the pending device interrupts, for the checkers'
-// interrupt-view comparisons.
+// PendingIRQs returns a copy of the pending device interrupts, in
+// programming order.
 func (s *State) PendingIRQs() []PendingIRQ {
 	out := make([]PendingIRQ, 0, len(s.irqs))
 	for _, q := range s.irqs {
@@ -438,34 +459,32 @@ func (m *Machine) EndSlice(s *State) SwitchReport {
 	return rep
 }
 
-// LoVisible extracts the parts of the state domain `lo` can observe
-// directly or through its own timing: its own banks, the flushable state
-// it executes over, any shared digests its accesses read, and the clock
-// phase. Two states related on these parts are ~Lo-equivalent; the
-// unwinding checker verifies every transition preserves the relation.
-func (m *Machine) LoVisible(s *State, lo int) []uint64 {
-	vis := []uint64{
-		s.Flushables[ResL1], s.Flushables[ResTLB], s.Flushables[ResBP],
-		s.KGlobal,
-		uint64(s.Cur),
-		s.Clock - s.SliceStart,
-	}
-	if m.Cfg.Color {
-		vis = append(vis, s.LLCBanks[lo])
-	} else {
-		vis = append(vis, s.LLCShared)
-	}
-	if m.Cfg.Clone {
-		vis = append(vis, s.KTextBanks[lo])
-	} else {
-		vis = append(vis, s.KTextShared)
-	}
-	// Pending IRQs visible to Lo: those that can fire during its
-	// execution.
-	for _, q := range s.irqs {
-		if !m.Cfg.PartitionIRQ || q.owner == lo {
-			vis = append(vis, q.fireAt, uint64(q.owner))
+// SameLoIRQs reports whether two states hold the same pending
+// interrupts that can fire while domain lo runs — every pending
+// interrupt, or only lo's own under PartitionIRQ — in the same order.
+// It compares in place, so the provers' interrupt-view checks allocate
+// nothing.
+func (m *Machine) SameLoIRQs(a, b *State, lo int) bool {
+	i, j := 0, 0
+	for {
+		i = m.nextLoIRQ(a, i, lo)
+		j = m.nextLoIRQ(b, j, lo)
+		if i == len(a.irqs) || j == len(b.irqs) {
+			return i == len(a.irqs) && j == len(b.irqs)
 		}
+		if a.irqs[i] != b.irqs[j] {
+			return false
+		}
+		i++
+		j++
 	}
-	return vis
+}
+
+// nextLoIRQ returns the index of the first pending interrupt at or after
+// i that can fire while domain lo runs, or len(s.irqs) if none can.
+func (m *Machine) nextLoIRQ(s *State, i, lo int) int {
+	for i < len(s.irqs) && m.Cfg.PartitionIRQ && s.irqs[i].owner != lo {
+		i++
+	}
+	return i
 }

@@ -1,6 +1,7 @@
 package absmodel
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -235,6 +236,71 @@ func TestSwitchWorkWithinPadBudget(t *testing.T) {
 			rep := m.EndSlice(s)
 			if rep.Overran {
 				t.Fatalf("seed %d digest %d: pad budget overrun (work %d)", seed, d, rep.Work)
+			}
+		}
+	}
+}
+
+// TestResetIntoMatchesReset: resetting a used state in place yields
+// exactly Reset's fresh state — for a state of the same machine (whose
+// storage it must reuse without allocating) and for one built by a
+// machine with fewer domains (whose banks it must grow).
+func TestResetIntoMatchesReset(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Domains = 3
+	m := NewMachine(cfg, SampleFuncs(19, cfg.DigestMod))
+	small := NewMachine(DefaultConfig(), SampleFuncs(19, cfg.DigestMod))
+	for name, s := range map[string]*State{"same machine": m.Reset(), "fewer domains": small.Reset()} {
+		m.Step(s, ActStartIO)
+		m.Step(s, Action(1))
+		m.EndSlice(s)
+		m.Step(s, ActSyscall)
+		m.ResetInto(s)
+		if !reflect.DeepEqual(s.Clone(), m.Reset()) {
+			t.Errorf("%s: ResetInto gave %+v, want %+v", name, s, m.Reset())
+		}
+	}
+	s := m.Reset()
+	m.Step(s, ActStartIO)
+	if allocs := testing.AllocsPerRun(10, func() {
+		m.ResetInto(s)
+		m.Step(s, ActStartIO)
+	}); allocs != 0 {
+		t.Errorf("ResetInto+Step on a warm state: %.0f allocs, want 0", allocs)
+	}
+}
+
+// TestSameLoIRQs pins the interrupt view the Hi-step lemma compares:
+// under partitioning only Lo's own pending interrupts are visible to
+// it, otherwise every pending interrupt is, in order.
+func TestSameLoIRQs(t *testing.T) {
+	for _, tc := range []struct {
+		a, b         []irq
+		part, unpart bool
+	}{
+		{nil, nil, true, true},
+		{[]irq{{5, 0}, {7, 1}}, []irq{{7, 1}}, true, false},
+		{[]irq{{7, 1}}, []irq{{7, 1}, {9, 0}}, true, false},
+		{[]irq{{7, 1}}, []irq{{8, 1}}, false, false},
+		{[]irq{{7, 1}, {8, 1}}, []irq{{8, 1}, {7, 1}}, false, false},
+		{[]irq{{7, 1}}, nil, false, false},
+		{[]irq{{3, 0}, {7, 1}}, []irq{{3, 0}, {7, 1}}, true, true},
+	} {
+		for _, partitioned := range []bool{true, false} {
+			cfg := DefaultConfig()
+			cfg.PartitionIRQ = partitioned
+			m := NewMachine(cfg, SampleFuncs(23, cfg.DigestMod))
+			a, b := m.Reset(), m.Reset()
+			a.irqs, b.irqs = tc.a, tc.b
+			want := tc.unpart
+			if partitioned {
+				want = tc.part
+			}
+			if got := m.SameLoIRQs(a, b, 1); got != want {
+				t.Errorf("partitioned=%v %v vs %v: SameLoIRQs = %v, want %v", partitioned, tc.a, tc.b, got, want)
+			}
+			if got := m.SameLoIRQs(b, a, 1); got != want {
+				t.Errorf("partitioned=%v %v vs %v: SameLoIRQs not symmetric", partitioned, tc.b, tc.a)
 			}
 		}
 	}

@@ -44,30 +44,29 @@ type CaseReport struct {
 // product space tractable while remaining exhaustive over its own range.
 const enumDomain = 3
 
-// digestAssignments enumerates [0,enumDomain)^n.
-func digestAssignments(n int) [][]uint64 {
-	var out [][]uint64
-	cur := make([]uint64, n)
-	for {
-		out = append(out, append([]uint64(nil), cur...))
-		i := 0
-		for ; i < n; i++ {
-			cur[i]++
-			if cur[i] < enumDomain {
-				break
-			}
-			cur[i] = 0
+// nextAssignment advances v in place to the next vector of
+// [0,enumDomain)^len(v) in odometer order (v[0] fastest), reporting false
+// once it wraps back to all zeros. Starting from zeros, the loop
+// `for ok := true; ok; ok = nextAssignment(v)` visits the whole product
+// space through one vector.
+func nextAssignment(v []uint64) bool {
+	for i := range v {
+		v[i]++
+		if v[i] < enumDomain {
+			return true
 		}
-		if i == n {
-			return out
-		}
+		v[i] = 0
 	}
+	return false
 }
 
-// buildState constructs a model state from a digest assignment vector:
+// stateDims is the length of a digest assignment vector:
 // [flushables(3), llcHi, llcLo, llcShared, ktHi, ktLo, ktShared, kglobal].
-func buildState(m *absmodel.Machine, v []uint64) *absmodel.State {
-	s := m.Reset()
+const stateDims = 10
+
+// fillState resets s in place and loads a digest assignment vector.
+func fillState(m *absmodel.Machine, s *absmodel.State, v *[stateDims]uint64) {
+	m.ResetInto(s)
 	s.Flushables[absmodel.ResL1] = v[0]
 	s.Flushables[absmodel.ResTLB] = v[1]
 	s.Flushables[absmodel.ResBP] = v[2]
@@ -76,65 +75,42 @@ func buildState(m *absmodel.Machine, v []uint64) *absmodel.State {
 	s.KTextBanks[0], s.KTextBanks[1] = v[6], v[7]
 	s.KTextShared = v[8]
 	s.KGlobal = v[9]
-	return s
 }
 
-const stateDims = 10
+// Lo's persistent views, the state that survives a domain switch: the
+// cache and the kernel text Lo's own steps time against. Kernel global
+// data is in neither: its access pattern is fixed, so every kernel
+// entry — including the switch's own — deterministically resets its
+// cache state (§5.2 Case 2a), which excludes it like the flushables.
+// Under SMT nothing is ever flushed between Lo's steps, so there the
+// Hi-step lemma compares the flushables too.
 
-// persistent extracts the Lo-visible state that SURVIVES a domain switch:
-// everything except the flushables and the clock phase — unless the
-// configuration is SMT, where nothing is ever flushed between Lo's steps
-// and the "transient" state is persistent too.
-func persistent(m *absmodel.Machine, s *absmodel.State) []uint64 {
-	const lo = 1
-	var vis []uint64
+// cacheDigest is the user-reachable cache state Lo's Case-1 steps time
+// against: Lo's LLC partition, or the shared LLC.
+func cacheDigest(m *absmodel.Machine, s *absmodel.State) uint64 {
 	if m.Cfg.Color {
-		vis = append(vis, s.LLCBanks[lo])
-	} else {
-		vis = append(vis, s.LLCShared)
+		return s.LLCBanks[1]
 	}
+	return s.LLCShared
+}
+
+// kernelDigest is the kernel state Lo's Case-2a syscalls time against:
+// the kernel text Lo traps into.
+func kernelDigest(m *absmodel.Machine, s *absmodel.State) uint64 {
 	if m.Cfg.Clone {
-		vis = append(vis, s.KTextBanks[lo])
-	} else {
-		vis = append(vis, s.KTextShared)
+		return s.KTextBanks[1]
 	}
-	// Kernel global data is NOT persistent Hi-influenceable state: its
-	// access pattern is fixed, so every kernel entry — including the
-	// switch's own — deterministically resets its cache state (§5.2
-	// Case 2a). It is therefore excluded here, like the flushables.
-	if m.Cfg.SMT {
-		vis = append(vis, s.Flushables[:]...)
-	}
-	return vis
-}
-
-// loIRQView lists the pending interrupts that can fire while Lo runs.
-func loIRQView(m *absmodel.Machine, s *absmodel.State) []uint64 {
-	var vis []uint64
-	for _, q := range s.PendingIRQs() {
-		if !m.Cfg.PartitionIRQ || q.Owner == 1 {
-			vis = append(vis, q.FireAt, uint64(q.Owner))
-		}
-	}
-	return vis
-}
-
-func equalU64(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return s.KTextShared
 }
 
 // CheckHiStepLemma verifies that no pair of Hi actions, from any state,
 // diverges the persistent Lo-visible state or Lo's interrupt view. The
 // returned reports split the verdict by the §5.2 case the violated
 // component belongs to.
+//
+// Step is deterministic, so each assignment steps every Hi action once
+// into its own reused state and the pairs compare those post-states, in
+// the order (i, j), i < j, that fixes which witness is found first.
 func CheckHiStepLemma(m *absmodel.Machine) []CaseReport {
 	acts := hiActions(m.Cfg)
 	user := CaseReport{Name: "Case1-user", Holds: true}
@@ -142,46 +118,36 @@ func CheckHiStepLemma(m *absmodel.Machine) []CaseReport {
 	irqs := CaseReport{Name: "irq-partition", Holds: true}
 	smt := CaseReport{Name: "smt-live-sharing", Holds: true}
 
-	for _, v := range digestAssignments(stateDims) {
+	post := make([]absmodel.State, len(acts))
+	var v [stateDims]uint64
+	fail := func(r *CaseReport, i, j int) {
+		r.Holds = false
+		r.Witness = fmt.Sprintf("state %v, Hi actions %v vs %v", v[:], acts[i], acts[j])
+	}
+	for ok := true; ok; ok = nextAssignment(v[:]) {
+		for k, act := range acts {
+			fillState(m, &post[k], &v)
+			m.Step(&post[k], act)
+		}
 		for i := 0; i < len(acts); i++ {
 			for j := i + 1; j < len(acts); j++ {
-				s1 := buildState(m, v)
-				s2 := buildState(m, v)
-				s1.Cur, s2.Cur = 0, 0
-				m.Step(s1, acts[i])
-				m.Step(s2, acts[j])
+				s1, s2 := &post[i], &post[j]
 				user.Checked++
 				kern.Checked++
 				irqs.Checked++
 				smt.Checked++
-
-				witness := func() string {
-					return fmt.Sprintf("state %v, Hi actions %v vs %v", v, acts[i], acts[j])
-				}
 				// Attribute divergences per component.
-				if user.Holds {
-					a, b := cacheView(m, s1), cacheView(m, s2)
-					if !equalU64(a, b) {
-						user.Holds = false
-						user.Witness = witness()
-					}
+				if user.Holds && cacheDigest(m, s1) != cacheDigest(m, s2) {
+					fail(&user, i, j)
 				}
-				if kern.Holds {
-					a, b := kernelView(m, s1), kernelView(m, s2)
-					if !equalU64(a, b) {
-						kern.Holds = false
-						kern.Witness = witness()
-					}
+				if kern.Holds && kernelDigest(m, s1) != kernelDigest(m, s2) {
+					fail(&kern, i, j)
 				}
-				if irqs.Holds && !equalU64(loIRQView(m, s1), loIRQView(m, s2)) {
-					irqs.Holds = false
-					irqs.Witness = witness()
+				if irqs.Holds && !m.SameLoIRQs(s1, s2, 1) {
+					fail(&irqs, i, j)
 				}
-				if m.Cfg.SMT && smt.Holds {
-					if s1.Flushables != s2.Flushables {
-						smt.Holds = false
-						smt.Witness = witness()
-					}
+				if m.Cfg.SMT && smt.Holds && s1.Flushables != s2.Flushables {
+					fail(&smt, i, j)
 				}
 			}
 		}
@@ -189,30 +155,33 @@ func CheckHiStepLemma(m *absmodel.Machine) []CaseReport {
 	return []CaseReport{user, kern, irqs, smt}
 }
 
-// cacheView is the user-reachable cache state Lo's Case-1 steps time
-// against.
-func cacheView(m *absmodel.Machine, s *absmodel.State) []uint64 {
-	if m.Cfg.Color {
-		return []uint64{s.LLCBanks[1]}
-	}
-	return []uint64{s.LLCShared}
-}
+// switchTransients is the number of transient vectors the switch lemma
+// quantifies over: the flushable triple and the kernel-global-data
+// state, each in [0,enumDomain).
+const switchTransients = enumDomain * enumDomain * enumDomain * enumDomain
 
-// kernelView is the kernel state Lo's Case-2a syscalls time against:
-// the kernel text Lo traps into. Kernel global data is excluded — its
-// fixed access pattern is deterministically re-established by the switch
-// path itself (see persistent).
-func kernelView(m *absmodel.Machine, s *absmodel.State) []uint64 {
-	if m.Cfg.Clone {
-		return []uint64{s.KTextBanks[1]}
-	}
-	return []uint64{s.KTextShared}
+// switchJitters is the accumulated clock jitter the switch must pad away.
+var switchJitters = [...]uint64{0, 3, 9, 17}
+
+// switchPost is what the switch lemma compares of one EndSlice: its
+// inputs (for witnesses) and the Lo-facing outcome.
+type switchPost struct {
+	trans      [4]uint64
+	jitter     uint64
+	overran    bool
+	dispatch   uint64
+	flushables [3]uint64
+	kglobal    uint64
 }
 
 // CheckSwitchLemma verifies Case 2b: from any two states that agree on
 // the persistent Lo-visible parts but differ arbitrarily in transients
 // (flushable digests and accumulated clock), the switch into Lo erases
 // the difference — flushables reset and dispatch time constant.
+//
+// EndSlice is deterministic, so each (base, transient, jitter) input is
+// switched once and the pairs compare the cached outcomes, in the order
+// (ti ≤ tj, then jitter w1, w2) that fixes which witness is found first.
 func CheckSwitchLemma(m *absmodel.Machine) CaseReport {
 	rep := CaseReport{Name: "Case2b-switch", Holds: true}
 	if m.Cfg.SMT {
@@ -221,43 +190,51 @@ func CheckSwitchLemma(m *absmodel.Machine) CaseReport {
 		rep.Witness = "vacuous: no domain switch separates SMT siblings"
 		return rep
 	}
-	// Transients the switch must erase: the flushable triple, the
-	// kernel-global-data state (reset by the switch's own
-	// deterministic kernel entry), and accumulated clock jitter.
-	trans := digestAssignments(4)
-	jitters := []uint64{0, 3, 9, 17}
 	// A few persistent bases suffice: the lemma's quantification is
 	// over transients; persistent parts ride along unchanged.
-	bases := [][]uint64{
-		make([]uint64, stateDims),
+	bases := [...][stateDims]uint64{
+		{},
 		{1, 2, 0, 1, 2, 1, 0, 2, 1, 2},
 		{2, 2, 2, 2, 2, 2, 2, 2, 2, 2},
 	}
-	for _, base := range bases {
-		for ti := 0; ti < len(trans); ti++ {
-			for tj := ti; tj < len(trans); tj++ {
-				for _, w1 := range jitters {
-					for _, w2 := range jitters {
-						s1, s2 := buildState(m, base), buildState(m, base)
-						copy(s1.Flushables[:], trans[ti][:3])
-						copy(s2.Flushables[:], trans[tj][:3])
-						s1.KGlobal, s2.KGlobal = trans[ti][3], trans[tj][3]
-						s1.Cur, s2.Cur = 0, 0
-						s1.Clock, s2.Clock = w1, w2
-						// SliceStart stays 0: clocks model accumulated
-						// slice time plus jitter.
-						r1 := m.EndSlice(s1)
-						r2 := m.EndSlice(s2)
+	const nj = len(switchJitters)
+	post := make([]switchPost, switchTransients*nj)
+	var s absmodel.State
+	for b := range bases {
+		// Transients the switch must erase: the flushable triple, the
+		// kernel-global-data state (reset by the switch's own
+		// deterministic kernel entry), and accumulated clock jitter.
+		var trans [4]uint64
+		for t, ok := 0, true; ok; t, ok = t+1, nextAssignment(trans[:]) {
+			for w, jit := range switchJitters {
+				fillState(m, &s, &bases[b])
+				copy(s.Flushables[:], trans[:3])
+				s.KGlobal = trans[3]
+				// SliceStart stays 0: clocks model accumulated slice
+				// time plus jitter.
+				s.Clock = jit
+				r := m.EndSlice(&s)
+				post[t*nj+w] = switchPost{
+					trans: trans, jitter: jit, overran: r.Overran,
+					dispatch: r.Dispatch, flushables: s.Flushables, kglobal: s.KGlobal,
+				}
+			}
+		}
+		for ti := 0; ti < switchTransients; ti++ {
+			for tj := ti; tj < switchTransients; tj++ {
+				for w1 := 0; w1 < nj; w1++ {
+					for w2 := 0; w2 < nj; w2++ {
+						p1, p2 := &post[ti*nj+w1], &post[tj*nj+w2]
 						rep.Checked++
-						if r1.Overran || r2.Overran {
+						if p1.overran || p2.overran {
 							rep.Holds = false
-							rep.Witness = fmt.Sprintf("pad overrun: transients %v/%v jitter %d/%d", trans[ti], trans[tj], w1, w2)
+							rep.Witness = fmt.Sprintf("pad overrun: transients %v/%v jitter %d/%d", p1.trans[:], p2.trans[:], p1.jitter, p2.jitter)
 							return rep
 						}
-						if r1.Dispatch != r2.Dispatch || s1.Flushables != s2.Flushables || s1.KGlobal != s2.KGlobal {
+						if p1.dispatch != p2.dispatch || p1.flushables != p2.flushables || p1.kglobal != p2.kglobal {
 							rep.Holds = false
 							rep.Witness = fmt.Sprintf("dispatch %d vs %d, flushables %v vs %v, kglobal %d vs %d (transients %v/%v, jitter %d/%d)",
-								r1.Dispatch, r2.Dispatch, s1.Flushables, s2.Flushables, s1.KGlobal, s2.KGlobal, trans[ti], trans[tj], w1, w2)
+								p1.dispatch, p2.dispatch, p1.flushables, p2.flushables, p1.kglobal, p2.kglobal, p1.trans[:], p2.trans[:], p1.jitter, p2.jitter)
 							return rep
 						}
 					}

@@ -117,8 +117,18 @@ func loProgram(cfg absmodel.Config, step int) absmodel.Action {
 // RunTrace executes the bounded schedule with the given Hi program
 // (indexed per Hi step, wrapping) and returns Lo's observation trace.
 func RunTrace(m *absmodel.Machine, hi []absmodel.Action) (obs []Observation, overruns int) {
+	return runTraceInto(m, new(absmodel.State), hi, nil)
+}
+
+// runTraceInto is RunTrace over caller-owned storage: it resets s in
+// place and appends Lo's observations to obs[:0], so a checker that runs
+// many programs reuses one state and one trace buffer. The returned
+// trace aliases obs.
+func runTraceInto(m *absmodel.Machine, s *absmodel.State, hi []absmodel.Action, obs []Observation) ([]Observation, int) {
 	cfg := m.Cfg
-	s := m.Reset()
+	m.ResetInto(s)
+	obs = obs[:0]
+	overruns := 0
 	hiIdx, loIdx := 0, 0
 	if cfg.SMT {
 		// Concurrent hardware threads: interleave one Hi and one Lo
@@ -205,26 +215,31 @@ func slicePrograms(cfg absmodel.Config) [][]absmodel.Action {
 // CheckBounded performs the exhaustive bounded noninterference check:
 // for `families` sampled function families, every enumerable Hi slice
 // program (plus `extraRandom` full-length random programs) must yield the
-// identical Lo observation trace.
+// identical Lo observation trace. Every run resets one reused state and
+// writes into one of two reused trace buffers (the reference and the
+// current run).
 func CheckBounded(cfg absmodel.Config, families int, extraRandom int, baseSeed uint64) Verdict {
 	v := Verdict{Proved: true, Families: families}
+	sliceProgs := slicePrograms(cfg)
+	progs := sliceProgs
+	var s absmodel.State
+	var ref, obs []Observation
 	for fam := 0; fam < families; fam++ {
 		seed := baseSeed + uint64(fam)*0x9E37
 		m := absmodel.NewMachine(cfg, absmodel.SampleFuncs(seed, cfg.DigestMod))
+		if extraRandom > 0 {
+			progs = appendRandomPrograms(progs[:len(sliceProgs)], cfg, extraRandom, seed^0xBEEF)
+		}
 
-		progs := slicePrograms(cfg)
-		progs = append(progs, randomPrograms(cfg, extraRandom, seed^0xBEEF)...)
-
-		var ref []Observation
-		var refProg []absmodel.Action
-		for i, hi := range progs {
-			obs, ov := RunTrace(m, hi)
+		refProg := progs[0]
+		var ov int
+		ref, ov = runTraceInto(m, &s, refProg, ref)
+		v.Runs++
+		v.PadOverruns += ov
+		for _, hi := range progs[1:] {
+			obs, ov = runTraceInto(m, &s, hi, obs)
 			v.Runs++
 			v.PadOverruns += ov
-			if i == 0 {
-				ref, refProg = obs, hi
-				continue
-			}
 			if idx, a, b, diff := firstDivergence(ref, obs); diff {
 				v.Proved = false
 				v.Counterexample = &Counterexample{
@@ -242,25 +257,23 @@ func CheckBounded(cfg absmodel.Config, families int, extraRandom int, baseSeed u
 	return v
 }
 
-// randomPrograms samples full-length non-repeating Hi programs for extra
-// coverage beyond the per-slice exhaustive set.
-func randomPrograms(cfg absmodel.Config, n int, seed uint64) [][]absmodel.Action {
-	if n <= 0 {
-		return nil
-	}
+// appendRandomPrograms appends n sampled full-length non-repeating Hi
+// programs to dst, for extra coverage beyond the per-slice exhaustive
+// set. The programs share one backing array.
+func appendRandomPrograms(dst [][]absmodel.Action, cfg absmodel.Config, n int, seed uint64) [][]absmodel.Action {
 	acts := hiActions(cfg)
 	hiSlices := (cfg.Slices + 1) / 2
 	length := cfg.StepsPerSlice * hiSlices
 	r := newSplit(seed)
-	out := make([][]absmodel.Action, 0, n)
+	flat := make([]absmodel.Action, n*length)
 	for i := 0; i < n; i++ {
-		prog := make([]absmodel.Action, length)
+		prog := flat[i*length : (i+1)*length : (i+1)*length]
 		for j := range prog {
 			prog[j] = acts[int(r.next()%uint64(len(acts)))]
 		}
-		out = append(out, prog)
+		dst = append(dst, prog)
 	}
-	return out
+	return dst
 }
 
 // splitmix for local sampling without importing math/rand.

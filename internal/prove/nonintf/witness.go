@@ -142,16 +142,19 @@ func MinimizeWith(hiA, hiB []absmodel.Action, diverges func(a, b []absmodel.Acti
 // divergence until none does, then record the divergent Lo traces. The
 // result is deterministic — candidate order is fixed and the machine is
 // deterministic — so minimisation is safe inside store-cached proof
-// cells. Minimisation re-executes the machine but never touches the
-// originating Verdict's counts.
+// cells. Minimisation re-executes the machine, over one reused state
+// and two reused trace buffers, but never touches the originating
+// Verdict's counts.
 func Minimize(cfg absmodel.Config, c *Counterexample) *Witness {
 	m := absmodel.NewMachine(cfg, absmodel.SampleFuncs(c.FamilySeed, cfg.DigestMod))
 	runs := 0
+	var s absmodel.State
+	var bufA, bufB []Observation
 	diverges := func(a, b []absmodel.Action) bool {
 		runs += 2
-		oa, _ := RunTrace(m, a)
-		ob, _ := RunTrace(m, b)
-		_, _, _, d := firstDivergence(oa, ob)
+		bufA, _ = runTraceInto(m, &s, a, bufA)
+		bufB, _ = runTraceInto(m, &s, b, bufB)
+		_, _, _, d := firstDivergence(bufA, bufB)
 		return d
 	}
 	a, b, _ := MinimizeWith(c.HiA, c.HiB, diverges)
