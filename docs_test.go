@@ -167,6 +167,37 @@ func TestProofsColdRegen(t *testing.T) {
 	}
 }
 
+// TestExperimentsColdRegen regenerates EXPERIMENTS.md cold — every
+// sweep and proof cell executed, no store — from the exact spec of its
+// embedded tpbench command (every static scenario, 60 rounds, seed 42,
+// the T1 proof matrix at the flag defaults) and requires the committed
+// document byte for byte. golden_sweep.json pins only T4, T11 and T12
+// cold and CI's docs job replays the rest from a warm store; this is
+// the cold pin of every scenario's rows, so a refactor of any attack
+// that changes a single byte fails here rather than hiding behind the
+// store.
+func TestExperimentsColdRegen(t *testing.T) {
+	rep, err := RunSweep(SweepSpec{
+		Scenarios:     []string{"all"},
+		Rounds:        60,
+		Seeds:         []uint64{42},
+		Trials:        1,
+		Proofs:        true,
+		ProofFamilies: 5,
+		ProofRandom:   200,
+	}, SweepOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteSweepMarkdown(&buf, rep); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := buf.String(), readDoc(t, "EXPERIMENTS.md"); got != want {
+		t.Errorf("cold regeneration differs from the committed EXPERIMENTS.md:\n%s", firstLineDiff(got, want))
+	}
+}
+
 // firstLineDiff names the first line at which two documents differ.
 func firstLineDiff(got, want string) string {
 	g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
