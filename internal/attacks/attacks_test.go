@@ -27,7 +27,7 @@ func wantLeaks(t *testing.T, e Experiment, want []bool) {
 }
 
 func TestT2L1PrimeProbe(t *testing.T) {
-	e := T2L1PrimeProbe(40, testSeed)
+	e := mustScenario("T2").Experiment(40, testSeed)
 	wantLeaks(t, e, []bool{true, false, false})
 	// The unprotected channel must be high-capacity: the paper calls
 	// set-index channels "potentially high bandwidth". 4 symbols = up
@@ -41,7 +41,7 @@ func TestT2L1PrimeProbe(t *testing.T) {
 }
 
 func TestT3LLCPrimeProbe(t *testing.T) {
-	e := T3LLCPrimeProbe(40, testSeed)
+	e := mustScenario("T3").Experiment(40, testSeed)
 	wantLeaks(t, e, []bool{true, true, false})
 	// Flushing must NOT help against the concurrent channel: its
 	// capacity stays within 25% of the unprotected one.
@@ -52,7 +52,7 @@ func TestT3LLCPrimeProbe(t *testing.T) {
 }
 
 func TestT4FlushLatency(t *testing.T) {
-	e := T4FlushLatency(40, testSeed)
+	e := mustScenario("T4").Experiment(40, testSeed)
 	wantLeaks(t, e, []bool{true, false})
 	// Dirty-count modulation over 4 symbols should approach 2 bits
 	// without padding.
@@ -62,17 +62,17 @@ func TestT4FlushLatency(t *testing.T) {
 }
 
 func TestT5KernelImage(t *testing.T) {
-	e := T5KernelImage(40, testSeed)
+	e := mustScenario("T5").Experiment(40, testSeed)
 	wantLeaks(t, e, []bool{true, false})
 }
 
 func TestT6IRQ(t *testing.T) {
-	e := T6IRQ(40, testSeed)
+	e := mustScenario("T6").Experiment(40, testSeed)
 	wantLeaks(t, e, []bool{true, false})
 }
 
 func TestT7SMT(t *testing.T) {
-	e := T7SMT(40, testSeed)
+	e := mustScenario("T7").Experiment(40, testSeed)
 	wantLeaks(t, e, []bool{true, false})
 	// Note the first row runs flush+colour and still leaks ~1 bit:
 	// the paper's "hyperthreading is fundamentally insecure".
@@ -82,7 +82,7 @@ func TestT7SMT(t *testing.T) {
 }
 
 func TestT8Bus(t *testing.T) {
-	e := T8Bus(40, testSeed)
+	e := mustScenario("T8").Experiment(40, testSeed)
 	wantLeaks(t, e, []bool{true, true, false, false})
 	// MBA attenuates: both capacity and raw amplitude must drop.
 	if e.Rows[1].Est.CapacityBits >= e.Rows[0].Est.CapacityBits {
@@ -103,7 +103,7 @@ func TestT8Bus(t *testing.T) {
 }
 
 func TestT9Downgrader(t *testing.T) {
-	e := T9Downgrader(150, testSeed)
+	e := mustScenario("T9").Experiment(150, testSeed)
 	wantLeaks(t, e, []bool{true, true, false, false})
 	util := func(r Row) float64 {
 		for _, kv := range r.Extra {
@@ -122,7 +122,7 @@ func TestT9Downgrader(t *testing.T) {
 }
 
 func TestT11PaddingSufficiency(t *testing.T) {
-	e := T11PaddingSufficiency(20, testSeed)
+	e := mustScenario("T11").Experiment(20, testSeed)
 	get := func(r Row, k string) float64 {
 		for _, kv := range r.Extra {
 			if kv.K == k {
@@ -235,7 +235,7 @@ func TestExperimentString(t *testing.T) {
 }
 
 func TestT13BranchPredictor(t *testing.T) {
-	e := T13BranchPredictor(40, testSeed)
+	e := mustScenario("T13").Experiment(40, testSeed)
 	wantLeaks(t, e, []bool{true, false})
 	// A binary aliased-counter channel should run near 1 bit.
 	if e.Rows[0].Est.CapacityBits < 0.7 {
@@ -244,6 +244,6 @@ func TestT13BranchPredictor(t *testing.T) {
 }
 
 func TestT14TLB(t *testing.T) {
-	e := T14TLB(40, testSeed)
+	e := mustScenario("T14").Experiment(40, testSeed)
 	wantLeaks(t, e, []bool{true, false})
 }

@@ -134,8 +134,8 @@ func (s *t13Spy) Step(m *kernel.Machine) kernel.Status {
 	}
 }
 
-// buildBPChannel constructs one T13 configuration.
-func buildBPChannel(label string, prot core.Config, rounds int, seed uint64, cc *CellContext) (*kernel.System, func(kernel.Report) Row) {
+// runBPChannel runs one T13 configuration.
+func runBPChannel(cc *CellContext, label string, prot core.Config, rounds int, seed uint64) Row {
 	pcfg := platform.DefaultConfig()
 	pcfg.Cores = 1
 
@@ -155,32 +155,13 @@ func buildBPChannel(label string, prot core.Config, rounds int, seed uint64, cc 
 	}
 
 	seq := cc.symbolSeq(rounds+8, 2, seed)
-	syms := &cc.syms
-	obs := &cc.obs
 
 	spawn(sys, 0, "trojan", 0, &t13Trojan{
-		rounds: rounds, seq: seq, syms: syms, spin: epochSpin{burn: 180},
+		rounds: rounds, seq: seq, syms: &cc.syms, spin: epochSpin{burn: 180},
 	})
 	spawn(sys, 1, "spy", 0, &t13Spy{
-		rounds: rounds, obs: obs, spin: epochSpin{burn: 180},
+		rounds: rounds, obs: &cc.obs, spin: epochSpin{burn: 180},
 	})
 
-	return sys, func(rep kernel.Report) Row {
-		labels, vals := cc.label(syms, obs, 3)
-		row := cc.decodePairs(label, labels, vals, seed^0xBB13)
-		row.SimOps = rep.Ops
-		return row
-	}
-}
-
-// runBPChannel runs one T13 configuration.
-func runBPChannel(cc *CellContext, label string, prot core.Config, rounds int, seed uint64) Row {
-	sys, finish := buildBPChannel(label, prot, rounds, seed, cc)
-	return finish(mustRun(sys))
-}
-
-// T13BranchPredictor reproduces experiment T13: the PC-aliased branch
-// predictor channel, closed by the switch-time reset.
-func T13BranchPredictor(rounds int, seed uint64) Experiment {
-	return mustScenario("T13").Experiment(rounds, seed)
+	return cc.decodedRow(label, mustRun(sys).Ops, 3, seed^0xBB13)
 }

@@ -155,8 +155,8 @@ func (s *t8Spy) Step(m *kernel.Machine) kernel.Status {
 	}
 }
 
-// buildBus constructs one T8 configuration.
-func buildBus(label string, prot core.Config, limiter *interconn.MBALimiter, tdm bool, mode busMode, windows int, seed uint64, cc *CellContext) (*kernel.System, func(kernel.Report) Row) {
+// runBus runs one T8 configuration.
+func runBus(cc *CellContext, label string, prot core.Config, limiter *interconn.MBALimiter, tdm bool, mode busMode, windows int, seed uint64) Row {
 	pcfg := platform.DefaultConfig()
 	pcfg.Cores = 2
 	pcfg.LLCSets = 512 // small LLC so streams miss continuously
@@ -198,8 +198,6 @@ func buildBus(label string, prot core.Config, limiter *interconn.MBALimiter, tdm
 	}
 
 	seq := cc.symbolSeq(windows+8, 2, seed)
-	syms := &cc.syms
-	obs := &cc.obs
 	// Shuffled full-buffer orders: each stream is several times larger
 	// than its LLC partition, so misses are sustained, and the
 	// shuffling defeats the prefetcher.
@@ -207,47 +205,33 @@ func buildBus(label string, prot core.Config, limiter *interconn.MBALimiter, tdm
 	spyOrder := cc.shuffledOffsets(128*hw.LinesPerPage, 1, seed^0xF2)
 
 	spawn(sys, 0, "trojan", 1, &t8Trojan{
-		windows: windows, mode: mode, seq: seq, trojOrder: trojOrder, syms: syms,
+		windows: windows, mode: mode, seq: seq, trojOrder: trojOrder, syms: &cc.syms,
 	})
 	spawn(sys, 1, "spy", 0, &t8Spy{
-		windows: windows, spyOrder: spyOrder, obs: obs,
+		windows: windows, spyOrder: spyOrder, obs: &cc.obs,
 	})
 
-	return sys, func(rep kernel.Report) Row {
-		labels, vals := cc.label(syms, obs, 15)
-		est, err := cc.estimateLabelled(labels, vals, 16, seed^0x8888)
-		if err != nil {
-			panic(err)
-		}
-		// Amplitude: how much the Trojan slows the spy's probe — the
-		// raw signal the MBA limiter attenuates even where capacity
-		// survives.
-		var sum [2]float64
-		var n [2]int
-		for i, l := range labels {
-			if l == 0 || l == 1 {
-				sum[l] += vals[i]
-				n[l]++
-			}
-		}
-		amp := 0.0
-		if n[0] > 0 && n[1] > 0 {
-			amp = sum[1]/float64(n[1]) - sum[0]/float64(n[0])
-		}
-		return Row{Label: label, Est: est, ErrRate: nan(), SimOps: rep.Ops,
-			Extra: []KV{{K: "amplitude_cyc", V: amp}}}
+	rep := mustRun(sys)
+	labels, vals := cc.label(15)
+	est, err := cc.estimateLabelled(labels, vals, 16, seed^0x8888)
+	if err != nil {
+		panic(err)
 	}
-}
-
-// runBus runs one T8 configuration.
-func runBus(cc *CellContext, label string, prot core.Config, limiter *interconn.MBALimiter, tdm bool, mode busMode, windows int, seed uint64) Row {
-	sys, finish := buildBus(label, prot, limiter, tdm, mode, windows, seed, cc)
-	return finish(mustRun(sys))
-}
-
-// T8Bus reproduces experiment T8: the interconnect bandwidth channel is
-// out of time protection's reach; MBA-style limiting only attenuates it;
-// and no address information crosses the bus.
-func T8Bus(windows int, seed uint64) Experiment {
-	return mustScenario("T8").Experiment(windows, seed)
+	// Amplitude: how much the Trojan slows the spy's probe — the
+	// raw signal the MBA limiter attenuates even where capacity
+	// survives.
+	var sum [2]float64
+	var n [2]int
+	for i, l := range labels {
+		if l == 0 || l == 1 {
+			sum[l] += vals[i]
+			n[l]++
+		}
+	}
+	amp := 0.0
+	if n[0] > 0 && n[1] > 0 {
+		amp = sum[1]/float64(n[1]) - sum[0]/float64(n[0])
+	}
+	return Row{Label: label, Est: est, ErrRate: nan(), SimOps: rep.Ops,
+		Extra: []KV{{K: "amplitude_cyc", V: amp}}}
 }

@@ -22,7 +22,7 @@ import (
 // Every cell runs on a CellContext; a fresh run is a run on
 // NewCellContext(). Correctness contract: a run on a reused context is
 // bit-identical to a run on a fresh one. Every reusable buffer is
-// rewound at the start of a run (beginRun) and fully overwritten before
+// rewound at the start of a run (BeginRun) and fully overwritten before
 // use, pooled machines are healed to the freshly constructed state by
 // Machine.Reset on acquisition, and PermInto consumes exactly Perm's
 // random stream — so pooling never appears in any fingerprint, and the
@@ -57,8 +57,8 @@ func NewCellContext() *CellContext {
 	}
 }
 
-// beginRun rewinds every reusable buffer for the next variant run.
-func (cc *CellContext) beginRun() {
+// BeginRun rewinds every reusable buffer for the next run.
+func (cc *CellContext) BeginRun() {
 	cc.arena.reset()
 	cc.syms.commits = cc.syms.commits[:0]
 	cc.obs.obs = cc.obs.obs[:0]
@@ -66,33 +66,17 @@ func (cc *CellContext) beginRun() {
 	cc.vals = cc.vals[:0]
 }
 
-// endRun returns pooled machines for reuse. It runs deferred from
-// Variant.RunIn, so a panicking scenario still releases its machine
-// (which Machine.Reset heals on the next acquisition).
-func (cc *CellContext) endRun() { cc.pool.ReleaseAll() }
+// EndRun returns pooled machines for reuse. Defer it from the function
+// that called BeginRun (Variant.RunIn does), so a panicking run still
+// releases its machine, which Machine.Reset heals on the next
+// acquisition.
+func (cc *CellContext) EndRun() { cc.pool.ReleaseAll() }
 
-// The exported wrappers below let external harnesses (the conformance
-// driver's pooled path, the discovery fuzzer) ride the same arena with
-// the same contract: BeginRun, execute, EndRun — results bit-identical
-// to a run on a fresh context.
-
-// Pool returns the context's machine pool for kernel.SystemConfig.Pool.
+// Pool returns the context's machine pool for kernel.SystemConfig.Pool,
+// so external harnesses (the conformance driver, the discovery fuzzer)
+// ride the same arena with the same contract: BeginRun, execute, EndRun
+// — results bit-identical to a run on a fresh context.
 func (cc *CellContext) Pool() *platform.Pool { return cc.pool }
-
-// BeginRun rewinds every reusable buffer for the next run.
-func (cc *CellContext) BeginRun() { cc.beginRun() }
-
-// EndRun returns pooled machines for reuse; defer it from the same
-// function that called BeginRun so a panicking run still releases its
-// machine.
-func (cc *CellContext) EndRun() { cc.endRun() }
-
-// EstimateLabelled is the package-level EstimateLabelled on the
-// context's reusable sample set and estimator scratch; results are
-// bit-identical to the free function (which IS a fresh estimator).
-func (cc *CellContext) EstimateLabelled(labels []int, vals []float64, bins int, seed uint64) (channel.Estimate, error) {
-	return cc.estimateLabelled(labels, vals, bins, seed)
-}
 
 // intArena is a bump allocator for []int scratch on the cell path
 // (symbol sequences, shuffled probe orders, decode buffers). take carves
@@ -161,9 +145,13 @@ func (cc *CellContext) shuffledOffsets(lines, step int, seed uint64) []int {
 	return out
 }
 
-// decodePairs converts labelled decoded-symbol observations into a row,
-// on context scratch for the decoded-symbol buffer.
-func (cc *CellContext) decodePairs(label string, labels []int, vals []float64, seed uint64) Row {
+// decodedRow turns the run's logs into the row of a scenario whose spy
+// decodes a symbol per observation: the observations are labelled
+// (dropping the first warmup), the decoded symbols land in arena
+// scratch, and the row carries the pairwise capacity estimate and the
+// decode error rate.
+func (cc *CellContext) decodedRow(label string, ops uint64, warmup int, seed uint64) Row {
+	labels, vals := cc.label(warmup)
 	decoded := cc.ints(len(vals))
 	for i, v := range vals {
 		decoded[i] = int(v)
@@ -172,7 +160,20 @@ func (cc *CellContext) decodePairs(label string, labels []int, vals []float64, s
 	if err != nil {
 		panic(fmt.Sprintf("attacks: %s: %v", label, err))
 	}
-	return Row{Label: label, Est: est, ErrRate: channel.ErrorRate(labels, decoded)}
+	return Row{Label: label, Est: est, ErrRate: channel.ErrorRate(labels, decoded), SimOps: ops}
+}
+
+// scalarRow turns the run's logs into the row of a scenario whose spy
+// records a raw timing per observation: the observations are labelled
+// (dropping the first warmup) and binned into a capacity estimate; the
+// row has no decoder, so its error rate is NaN.
+func (cc *CellContext) scalarRow(label string, ops uint64, warmup, bins int, seed uint64) Row {
+	labels, vals := cc.label(warmup)
+	est, err := cc.estimateLabelled(labels, vals, bins, seed)
+	if err != nil {
+		panic(err)
+	}
+	return Row{Label: label, Est: est, ErrRate: nan(), SimOps: ops}
 }
 
 // estimateScalar is channel.EstimateScalar on the context's reusable
@@ -181,10 +182,11 @@ func (cc *CellContext) estimateScalar(s *channel.Samples, bins int, seed uint64)
 	return cc.est.EstimateScalar(s, bins, seed)
 }
 
-// label is Label on context scratch: the returned slices are views into
-// the context's buffers, valid until the next run begins.
-func (cc *CellContext) label(syms *SymLog, obs *ObsLog, warmup int) ([]int, []float64) {
-	cc.labels, cc.vals = labelInto(cc.labels[:0], cc.vals[:0], syms, obs)
+// label is Label over the context's symbol and observation logs, on
+// context scratch: the returned slices are views into the context's
+// buffers, valid until the next run begins.
+func (cc *CellContext) label(warmup int) ([]int, []float64) {
+	cc.labels, cc.vals = labelInto(cc.labels[:0], cc.vals[:0], &cc.syms, &cc.obs)
 	return trimWarmup(cc.labels, cc.vals, warmup)
 }
 
@@ -201,9 +203,9 @@ func (cc *CellContext) estimateLabelled(labels []int, vals []float64, bins int, 
 	return cc.est.EstimateScalar(s, bins, seed)
 }
 
-// samples returns the context's emptied sample set — for finish
-// functions that accumulate unlabelled scalars directly (T9's
-// inter-arrival gaps).
+// samples returns the context's emptied sample set — for scenarios
+// that accumulate unlabelled scalars directly (T9's inter-arrival
+// gaps).
 func (cc *CellContext) samples() *channel.Samples {
 	cc.samp.Reset()
 	return cc.samp

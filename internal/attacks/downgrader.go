@@ -166,8 +166,8 @@ func (t *t9Net) Step(m *kernel.Machine) kernel.Status {
 	return m.Recv(0)
 }
 
-// buildDowngrader constructs one T9 configuration.
-func buildDowngrader(label string, prot core.Config, mode padMode, rounds int, seed uint64, cc *CellContext) (*kernel.System, func(kernel.Report) Row) {
+// runDowngrader runs one T9 configuration.
+func runDowngrader(cc *CellContext, label string, prot core.Config, mode padMode, rounds int, seed uint64) Row {
 	pcfg := platform.DefaultConfig()
 	pcfg.Cores = 1
 
@@ -204,55 +204,34 @@ func buildDowngrader(label string, prot core.Config, mode padMode, rounds int, s
 	}
 	spawn(sys, 1, "net", 0, &t9Net{rounds: rounds, arrivals: arrivals, done: done})
 
-	return sys, func(rep kernel.Report) Row {
-		s := cc.samples()
-		arr := *arrivals
-		for i := 1; i < len(arr); i++ {
-			s.Add(arr[i].sym, float64(arr[i].at-arr[i-1].at))
-		}
-		est, err := cc.estimateScalar(s, 16, seed^0x9999)
-		if err != nil {
-			panic(err)
-		}
-
-		// Utilisation: the fraction of the Hi domain's consumed CPU
-		// time spent on useful work (real crypto cycles plus interim
-		// progress).
-		hiTotal := rep.ThreadCycles["crypto"] + rep.ThreadCycles["interim"]
-		useful := *cryptoUseful + rep.ThreadCycles["interim"]
-		util := 0.0
-		if hiTotal > 0 {
-			util = float64(useful) / float64(hiTotal)
-		}
-		return Row{
-			Label:   label,
-			Est:     est,
-			ErrRate: nan(),
-			SimOps:  rep.Ops,
-			Extra: []KV{
-				{K: "hi_utilisation", V: util},
-				{K: "deliveries", V: float64(len(arr))},
-			},
-		}
+	rep := mustRun(sys)
+	s := cc.samples()
+	arr := *arrivals
+	for i := 1; i < len(arr); i++ {
+		s.Add(arr[i].sym, float64(arr[i].at-arr[i-1].at))
 	}
-}
-
-// runDowngrader runs one T9 configuration.
-func runDowngrader(cc *CellContext, label string, prot core.Config, mode padMode, rounds int, seed uint64) Row {
-	sys, finish := buildDowngrader(label, prot, mode, rounds, seed, cc)
-	rep, err := sys.Run()
+	est, err := cc.estimateScalar(s, 16, seed^0x9999)
 	if err != nil {
 		panic(err)
 	}
-	for _, e := range rep.Errors {
-		panic(e)
-	}
-	return finish(rep)
-}
 
-// T9Downgrader reproduces experiment T9 (Figure 1): the downgrader's
-// response-time channel, closed by deterministic delivery plus padding,
-// with the busy-loop versus interim-process utilisation comparison.
-func T9Downgrader(rounds int, seed uint64) Experiment {
-	return mustScenario("T9").Experiment(rounds, seed)
+	// Utilisation: the fraction of the Hi domain's consumed CPU
+	// time spent on useful work (real crypto cycles plus interim
+	// progress).
+	hiTotal := rep.ThreadCycles["crypto"] + rep.ThreadCycles["interim"]
+	useful := *cryptoUseful + rep.ThreadCycles["interim"]
+	util := 0.0
+	if hiTotal > 0 {
+		util = float64(useful) / float64(hiTotal)
+	}
+	return Row{
+		Label:   label,
+		Est:     est,
+		ErrRate: nan(),
+		SimOps:  rep.Ops,
+		Extra: []KV{
+			{K: "hi_utilisation", V: util},
+			{K: "deliveries", V: float64(len(arr))},
+		},
+	}
 }

@@ -7,7 +7,7 @@ import "testing"
 // rounds metadata.
 
 func TestT15Prefetch(t *testing.T) {
-	e := T15Prefetch(40, testSeed)
+	e := mustScenario("T15").Experiment(40, testSeed)
 	wantLeaks(t, e, []bool{true, false})
 	// The speculative-fill channel is binary and, with a deterministic
 	// per-round eviction signature, should run near a full bit.
@@ -17,7 +17,7 @@ func TestT15Prefetch(t *testing.T) {
 }
 
 func TestT16Occupancy(t *testing.T) {
-	e := T16Occupancy(40, testSeed)
+	e := mustScenario("T16").Experiment(40, testSeed)
 	// Open with colouring off and on the unsplittable 2-colour
 	// platform; closed by a disjoint split at 4 and at 8 colours.
 	wantLeaks(t, e, []bool{true, true, false, false})
@@ -30,7 +30,7 @@ func TestT16Occupancy(t *testing.T) {
 }
 
 func TestT17XCore(t *testing.T) {
-	e := T17XCore(40, testSeed)
+	e := mustScenario("T17").Experiment(40, testSeed)
 	wantLeaks(t, e, []bool{true, true, false})
 	// Flushing must not help against the concurrent multi-bit channel.
 	un, fl := e.Rows[0].Est.CapacityBits, e.Rows[1].Est.CapacityBits
@@ -39,7 +39,7 @@ func TestT17XCore(t *testing.T) {
 	}
 	// The 4-ary alphabet must carry measurably more than T3's binary
 	// channel at the same windows and seed.
-	t3 := T3LLCPrimeProbe(40, testSeed)
+	t3 := mustScenario("T3").Experiment(40, testSeed)
 	if un <= t3.Rows[0].Est.CapacityBits {
 		t.Errorf("multi-bit channel (%f b/use) not above the binary one (%f b/use)",
 			un, t3.Rows[0].Est.CapacityBits)

@@ -131,8 +131,8 @@ func (s *t4Spy) Step(m *kernel.Machine) kernel.Status {
 	}
 }
 
-// buildFlushLatency constructs one T4 configuration.
-func buildFlushLatency(label string, prot core.Config, rounds int, seed uint64, cc *CellContext) (*kernel.System, func(kernel.Report) Row) {
+// runFlushLatency runs one T4 configuration.
+func runFlushLatency(cc *CellContext, label string, prot core.Config, rounds int, seed uint64) Row {
 	pcfg := platform.DefaultConfig()
 	pcfg.Cores = 1
 
@@ -152,44 +152,13 @@ func buildFlushLatency(label string, prot core.Config, rounds int, seed uint64, 
 	}
 
 	seq := cc.symbolSeq(rounds+8, t4Arity, seed)
-	syms := &cc.syms
-	obs := &cc.obs
 
 	spawn(sys, 0, "trojan", 0, &t4Trojan{
-		rounds: rounds, seq: seq, syms: syms, spin: epochSpin{burn: 180},
+		rounds: rounds, seq: seq, syms: &cc.syms, spin: epochSpin{burn: 180},
 	})
-	spawn(sys, 1, "spy", 0, &t4Spy{rounds: rounds, obs: obs})
+	spawn(sys, 1, "spy", 0, &t4Spy{rounds: rounds, obs: &cc.obs})
 
-	return sys, func(rep kernel.Report) Row {
-		labels, vals := cc.label(syms, obs, 3)
-		est, err := cc.estimateLabelled(labels, vals, 16, seed^0x4444)
-		if err != nil {
-			panic(err)
-		}
-		return Row{Label: label, Est: est, ErrRate: nan(), SimOps: rep.Ops}
-	}
-}
-
-// runFlushLatency runs one T4 configuration.
-func runFlushLatency(cc *CellContext, label string, prot core.Config, rounds int, seed uint64) Row {
-	sys, finish := buildFlushLatency(label, prot, rounds, seed, cc)
-	return finish(mustRun(sys))
-}
-
-// T4FlushLatency reproduces experiment T4: the switch-latency channel
-// created by the history-dependent flush, closed by padding.
-func T4FlushLatency(rounds int, seed uint64) Experiment {
-	return mustScenario("T4").Experiment(rounds, seed)
-}
-
-// T11PaddingSufficiency reproduces experiment T11: padding verified by
-// timestamp comparison (§5). It measures the worst-case switch work
-// (entry + flush + exit) under an adversarial dirtying workload and
-// compares it to the configured pad; it also demonstrates that an
-// insufficient pad is detected as an overrun rather than silently
-// accepted.
-func T11PaddingSufficiency(rounds int, seed uint64) Experiment {
-	return mustScenario("T11").Experiment(rounds, seed)
+	return cc.scalarRow(label, mustRun(sys).Ops, 3, 16, seed^0x4444)
 }
 
 // t11Dirtier is the adversarial T11 workload as a direct-execution
@@ -255,12 +224,13 @@ func (p *computeLoop) Step(m *kernel.Machine) kernel.Status {
 	return m.Compute(p.burn)
 }
 
-// buildPaddingSufficiency constructs one T11 configuration: full
-// protection with the given pad budget under an adversarial dirtying
-// workload. Tracing is always enabled — the measurement itself reads
-// the switch trace.
-func buildPaddingSufficiency(label string, pad uint64, rounds int, cc *CellContext) (*kernel.System, func(kernel.Report) Row) {
-	prot := core.FullProtection()
+// runPaddingSufficiency runs one T11 configuration: padding verified
+// by timestamp comparison (§5). It measures the worst-case switch work
+// (entry + flush + exit) under an adversarial dirtying workload and
+// compares it to the pad budget; an insufficient pad is detected as an
+// overrun rather than silently accepted. Tracing is always enabled —
+// the measurement itself reads the switch trace.
+func runPaddingSufficiency(cc *CellContext, label string, prot core.Config, pad uint64, rounds int) Row {
 	pcfg := platform.DefaultConfig()
 	pcfg.Cores = 1
 	sys, err := kernel.NewSystem(kernel.SystemConfig{
@@ -282,46 +252,39 @@ func buildPaddingSufficiency(label string, pad uint64, rounds int, cc *CellConte
 	spawn(sys, 0, "dirtier", 0, &t11Dirtier{rounds: rounds})
 	spawn(sys, 1, "other", 0, &computeLoop{n: rounds * 400, burn: 150})
 
-	return sys, func(rep kernel.Report) Row {
-		// Worst-case switch work observed: SwitchStart -> pre-pad
-		// time is entry+flush; compare against the pad budget.
-		var maxWork uint64
-		starts := sys.Trace().Filter(trace.SwitchStart)
-		ends := sys.Trace().Filter(trace.SwitchEnd)
-		flushes := sys.Trace().Filter(trace.Flush)
-		for i := 0; i < len(flushes) && i < len(starts); i++ {
-			work := flushes[i].Cycle - starts[i].Cycle
-			if work > maxWork {
-				maxWork = work
-			}
-		}
-		overruns := len(sys.Trace().Filter(trace.PadOverrun))
-		// Dispatch delta variability: a sufficient pad gives a
-		// single steady-state value.
-		deltas := make(map[uint64]int)
-		for i, e := range ends {
-			if i == 0 {
-				continue // cold start
-			}
-			deltas[e.Cycle-e.AuxCycle]++
-		}
-		return Row{
-			Label:   label,
-			Est:     channel.Estimate{}, // no capacity measured here
-			ErrRate: nan(),
-			SimOps:  rep.Ops,
-			Extra: []KV{
-				{K: "max_switch_work", V: float64(maxWork)},
-				{K: "pad", V: float64(pad)},
-				{K: "overruns", V: float64(overruns)},
-				{K: "distinct_deltas", V: float64(len(deltas))},
-			},
+	rep := mustRun(sys)
+	// Worst-case switch work observed: SwitchStart -> pre-pad
+	// time is entry+flush; compare against the pad budget.
+	var maxWork uint64
+	starts := sys.Trace().Filter(trace.SwitchStart)
+	ends := sys.Trace().Filter(trace.SwitchEnd)
+	flushes := sys.Trace().Filter(trace.Flush)
+	for i := 0; i < len(flushes) && i < len(starts); i++ {
+		work := flushes[i].Cycle - starts[i].Cycle
+		if work > maxWork {
+			maxWork = work
 		}
 	}
-}
-
-// runPaddingSufficiency runs one T11 configuration.
-func runPaddingSufficiency(cc *CellContext, label string, pad uint64, rounds int) Row {
-	sys, finish := buildPaddingSufficiency(label, pad, rounds, cc)
-	return finish(mustRun(sys))
+	overruns := len(sys.Trace().Filter(trace.PadOverrun))
+	// Dispatch delta variability: a sufficient pad gives a
+	// single steady-state value.
+	deltas := make(map[uint64]int)
+	for i, e := range ends {
+		if i == 0 {
+			continue // cold start
+		}
+		deltas[e.Cycle-e.AuxCycle]++
+	}
+	return Row{
+		Label:   label,
+		Est:     channel.Estimate{}, // no capacity measured here
+		ErrRate: nan(),
+		SimOps:  rep.Ops,
+		Extra: []KV{
+			{K: "max_switch_work", V: float64(maxWork)},
+			{K: "pad", V: float64(pad)},
+			{K: "overruns", V: float64(overruns)},
+			{K: "distinct_deltas", V: float64(len(deltas))},
+		},
+	}
 }

@@ -20,6 +20,15 @@
 // the floor; the experiment engine's adaptive sampler keeps adding
 // rounds until the interval is tight enough to trust the verdict.
 //
+// Each scenario is one function of (protection, rounds, seed):
+// runX(cc, label, prot, …, rounds, seed) Row builds the system on the
+// context's pooled machine, spawns the Trojan and spy programs, runs it
+// with mustRun and computes the row inline. A spy that decodes a symbol
+// per observation ends in cc.decodedRow, one that records a raw timing
+// in cc.scalarRow; T8, T9, T11 and T12 compute their extra columns
+// themselves. The registry binds each runner to its variants, with any
+// knob that is not a core.Config field fixed in a closure.
+//
 // Every scenario runs as a kernel.Program state machine on a
 // CellContext — the simulator's one execution semantics — so the sweep
 // store's engine fingerprint covers exactly one code path. The lockstep

@@ -141,8 +141,8 @@ func (s *t6Spy) Step(m *kernel.Machine) kernel.Status {
 	}
 }
 
-// buildIRQChannel constructs one T6 configuration.
-func buildIRQChannel(label string, prot core.Config, rounds int, seed uint64, cc *CellContext) (*kernel.System, func(kernel.Report) Row) {
+// runIRQChannel runs one T6 configuration.
+func runIRQChannel(cc *CellContext, label string, prot core.Config, rounds int, seed uint64) Row {
 	pcfg := platform.DefaultConfig()
 	pcfg.Cores = 1
 
@@ -162,32 +162,11 @@ func buildIRQChannel(label string, prot core.Config, rounds int, seed uint64, cc
 	}
 
 	seq := cc.symbolSeq(rounds+8, 2, seed)
-	syms := &cc.syms
-	obs := &cc.obs
 
 	spawn(sys, 0, "trojan", 0, &t6Trojan{
-		rounds: rounds, seq: seq, syms: syms, spin: epochSpin{burn: 180},
+		rounds: rounds, seq: seq, syms: &cc.syms, spin: epochSpin{burn: 180},
 	})
-	spawn(sys, 1, "spy", 0, &t6Spy{rounds: rounds, obs: obs})
+	spawn(sys, 1, "spy", 0, &t6Spy{rounds: rounds, obs: &cc.obs})
 
-	return sys, func(rep kernel.Report) Row {
-		labels, vals := cc.label(syms, obs, 3)
-		est, err := cc.estimateLabelled(labels, vals, 12, seed^0x6666)
-		if err != nil {
-			panic(err)
-		}
-		return Row{Label: label, Est: est, ErrRate: nan(), SimOps: rep.Ops}
-	}
-}
-
-// runIRQChannel runs one T6 configuration.
-func runIRQChannel(cc *CellContext, label string, prot core.Config, rounds int, seed uint64) Row {
-	sys, finish := buildIRQChannel(label, prot, rounds, seed, cc)
-	return finish(mustRun(sys))
-}
-
-// T6IRQ reproduces experiment T6: the Trojan-programmed completion
-// interrupt channel, closed by per-domain interrupt partitioning.
-func T6IRQ(rounds int, seed uint64) Experiment {
-	return mustScenario("T6").Experiment(rounds, seed)
+	return cc.scalarRow(label, mustRun(sys).Ops, 3, 12, seed^0x6666)
 }

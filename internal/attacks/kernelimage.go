@@ -162,8 +162,8 @@ func (s *t5Spy) Step(m *kernel.Machine) kernel.Status {
 	}
 }
 
-// buildKernelImage constructs one T5 configuration.
-func buildKernelImage(label string, prot core.Config, rounds int, seed uint64, cc *CellContext) (*kernel.System, func(kernel.Report) Row) {
+// runKernelImage runs one T5 configuration.
+func runKernelImage(cc *CellContext, label string, prot core.Config, rounds int, seed uint64) Row {
 	pcfg := platform.DefaultConfig()
 	pcfg.Cores = 1
 
@@ -197,35 +197,14 @@ func buildKernelImage(label string, prot core.Config, rounds int, seed uint64, c
 	pathLines := kernel.SyscallPathLines()
 
 	seq := cc.symbolSeq(rounds+8, 2, seed)
-	syms := &cc.syms
-	obs := &cc.obs
 
 	spawn(sys, 0, "trojan", 0, &t5Trojan{
 		rounds: rounds, seq: seq, trojPages: trojPages, pathLines: pathLines,
-		syms: syms, spin: epochSpin{burn: 180},
+		syms: &cc.syms, spin: epochSpin{burn: 180},
 	})
 	spawn(sys, 1, "spy", 0, &t5Spy{
-		rounds: rounds, obs: obs, spin: epochSpin{burn: 180},
+		rounds: rounds, obs: &cc.obs, spin: epochSpin{burn: 180},
 	})
 
-	return sys, func(rep kernel.Report) Row {
-		labels, vals := cc.label(syms, obs, 4)
-		est, err := cc.estimateLabelled(labels, vals, 16, seed^0x55AA)
-		if err != nil {
-			panic(err)
-		}
-		return Row{Label: label, Est: est, ErrRate: nan(), SimOps: rep.Ops}
-	}
-}
-
-// runKernelImage runs one T5 configuration.
-func runKernelImage(cc *CellContext, label string, prot core.Config, rounds int, seed uint64) Row {
-	sys, finish := buildKernelImage(label, prot, rounds, seed, cc)
-	return finish(mustRun(sys))
-}
-
-// T5KernelImage reproduces experiment T5: the kernel-text channel that
-// survives user-memory colouring and is closed only by kernel cloning.
-func T5KernelImage(rounds int, seed uint64) Experiment {
-	return mustScenario("T5").Experiment(rounds, seed)
+	return cc.scalarRow(label, mustRun(sys).Ops, 4, 16, seed^0x55AA)
 }

@@ -115,38 +115,8 @@ func (s *t16Spy) Step(m *kernel.Machine) kernel.Status {
 // colour sets. Nil colour sets mean no disjoint user split exists at
 // this width and colouring stays off.
 type t16Layout struct {
-	prot    core.Config
 	llcSets int
 	hi, lo  mem.ColorSet
-}
-
-// t16Spec returns the canonical colour-partition-width sweep. Colour 0
-// stays reserved for the kernel throughout, which is exactly what makes
-// the 2-colour platform unsplittable.
-func t16Spec(label string) t16Layout {
-	switch label {
-	case "no colouring (8 colours)":
-		// The baseline ablation: the platform could be split 3+4 but
-		// the designer left colouring off.
-		return t16Layout{prot: flushPadConfig(), llcSets: 512}
-	case "coarse: 2 colours, no split":
-		// 128-set LLC -> colours {0,1}; 0 is the kernel's, so no
-		// disjoint user split exists and colouring cannot be armed.
-		return t16Layout{prot: flushPadConfig(), llcSets: 128}
-	case "split: 4 colours (1+2)":
-		return t16Layout{
-			prot: core.FullProtection(), llcSets: 256,
-			hi: mem.ColorRange(1, 2), // {1}
-			lo: mem.ColorRange(2, 4), // {2,3}
-		}
-	case "split: 8 colours (full)":
-		return t16Layout{
-			prot: core.FullProtection(), llcSets: 512,
-			hi: mem.ColorRange(1, 4), // {1,2,3}
-			lo: mem.ColorRange(4, 8), // {4..7}
-		}
-	}
-	panic("attacks: T16: unknown variant " + label)
 }
 
 // t16ResidentPages picks up to per pages of each colour the domain
@@ -182,10 +152,9 @@ func t16VolumePages(byColor map[int][]int, n int) []int {
 	return out
 }
 
-// buildOccupancy constructs one T16 configuration: Trojan and spy on
-// separate cores, concurrent forever, with the variant's colour layout.
-func buildOccupancy(label string, rounds int, seed uint64, cc *CellContext) (*kernel.System, func(kernel.Report) Row) {
-	layout := t16Spec(label)
+// runOccupancy runs one T16 configuration: Trojan and spy on separate
+// cores, concurrent forever, with the variant's colour layout.
+func runOccupancy(cc *CellContext, label string, prot core.Config, layout t16Layout, rounds int, seed uint64) Row {
 	pcfg := platform.DefaultConfig()
 	pcfg.Cores = 2
 	pcfg.LLCSets = layout.llcSets // the swept knob: colours = sets/64
@@ -195,7 +164,7 @@ func buildOccupancy(label string, rounds int, seed uint64, cc *CellContext) (*ke
 	sys, err := kernel.NewSystem(kernel.SystemConfig{
 		Platform:   pcfg,
 		Pool:       cc.pool,
-		Protection: layout.prot,
+		Protection: prot,
 		Domains: []core.DomainSpec{
 			{Name: "Hi", SliceCycles: 400_000, PadCycles: 20_000, Colors: layout.hi, CodePages: 4, HeapPages: 64},
 			{Name: "Lo", SliceCycles: 400_000, PadCycles: 20_000, Colors: layout.lo, CodePages: 4, HeapPages: 16},
@@ -211,8 +180,6 @@ func buildOccupancy(label string, rounds int, seed uint64, cc *CellContext) (*ke
 	spyPages := pagesByColor(sys, 1)
 
 	seq := cc.symbolSeq(rounds+8, 2, seed)
-	syms := &cc.syms
-	obs := &cc.obs
 	lineOrder := cc.shuffledOffsets(hw.LinesPerPage, 2, seed^0x16C)
 
 	spawn(sys, 0, "trojan", 1, &windowedThrasher{
@@ -222,34 +189,13 @@ func buildOccupancy(label string, rounds int, seed uint64, cc *CellContext) (*ke
 			t16VolumePages(trojPages, t16LowPages),
 			t16VolumePages(trojPages, t16HighPages),
 		},
-		lineOrder: lineOrder, syms: syms,
+		lineOrder: lineOrder, syms: &cc.syms,
 	})
 	spawn(sys, 1, "spy", 0, &t16Spy{
 		windows: rounds, windowLen: t16WindowLen,
 		pages:     t16ResidentPages(spyPages, t16SpyPages),
-		lineOrder: lineOrder, obs: obs,
+		lineOrder: lineOrder, obs: &cc.obs,
 	})
 
-	return sys, func(rep kernel.Report) Row {
-		labels, vals := cc.label(syms, obs, 6)
-		est, err := cc.estimateLabelled(labels, vals, 16, seed^0x16F)
-		if err != nil {
-			panic(err)
-		}
-		return Row{Label: label, Est: est, ErrRate: nan(), SimOps: rep.Ops}
-	}
-}
-
-// runOccupancy runs one T16 configuration.
-func runOccupancy(cc *CellContext, label string, rounds int, seed uint64) Row {
-	sys, finish := buildOccupancy(label, rounds, seed, cc)
-	return finish(mustRun(sys))
-}
-
-// T16Occupancy reproduces experiment T16: the whole-LLC occupancy
-// channel across the colour-partition-width sweep — open with colouring
-// off and on the unsplittable 2-colour platform, closed by a disjoint
-// split at 4 or 8 colours.
-func T16Occupancy(rounds int, seed uint64) Experiment {
-	return mustScenario("T16").Experiment(rounds, seed)
+	return cc.scalarRow(label, mustRun(sys).Ops, 6, 16, seed^0x16F)
 }

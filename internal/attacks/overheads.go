@@ -2,7 +2,6 @@ package attacks
 
 import (
 	"fmt"
-	"math"
 
 	"timeprot/internal/channel"
 	"timeprot/internal/core"
@@ -85,9 +84,11 @@ func (w *t12Worker) Step(m *kernel.Machine) kernel.Status {
 	}
 }
 
-// buildOverhead constructs one T12 configuration: both domains running
-// the fixed workload to completion on one core.
-func buildOverhead(label string, prot core.Config, workRounds int, cc *CellContext) (*kernel.System, func(kernel.Report) Row) {
+// runOverhead measures one T12 configuration: total cycles for both
+// domains to finish a fixed workload on one core. The workload is
+// deterministic, so the seed is unused; it runs at least 4 rounds.
+func runOverhead(cc *CellContext, label string, prot core.Config, workRounds int, _ uint64) Row {
+	workRounds = max(workRounds, 4)
 	const (
 		slice = 60_000
 		pad   = 20_000
@@ -117,43 +118,17 @@ func buildOverhead(label string, prot core.Config, workRounds int, cc *CellConte
 	spawn(sys, 0, "a", 0, &t12Worker{rounds: workRounds, ops: ops})
 	spawn(sys, 1, "b", 0, &t12Worker{rounds: workRounds, ops: ops})
 
-	return sys, func(rep kernel.Report) Row {
-		total := float64(rep.CPUCycles[0])
-		cpo := total / float64(*ops)
-		return Row{
-			Label:   label,
-			Est:     channel.Estimate{},
-			ErrRate: nan(),
-			SimOps:  rep.Ops,
-			Extra: []KV{
-				{K: "cycles_per_op", V: cpo},
-				{K: "total_Mcycles", V: total / 1e6},
-			},
-		}
+	rep := mustRun(sys)
+	total := float64(rep.CPUCycles[0])
+	cpo := total / float64(*ops)
+	return Row{
+		Label:   label,
+		Est:     channel.Estimate{},
+		ErrRate: nan(),
+		SimOps:  rep.Ops,
+		Extra: []KV{
+			{K: "cycles_per_op", V: cpo},
+			{K: "total_Mcycles", V: total / 1e6},
+		},
 	}
-}
-
-// runOverhead measures one configuration: total cycles for both domains
-// to finish a fixed workload.
-func runOverhead(cc *CellContext, label string, prot core.Config, workRounds int) (Row, float64) {
-	sys, finish := buildOverhead(label, prot, workRounds, cc)
-	row := finish(mustRun(sys))
-	return row, extraValue(row, "cycles_per_op")
-}
-
-// T12Overheads reproduces the overhead ablation: what each mechanism
-// costs on a cache-sensitive workload.
-func T12Overheads(workRounds int, seed uint64) Experiment {
-	_ = seed // the workload is deterministic; kept for signature symmetry
-	return mustScenario("T12").Experiment(workRounds, seed)
-}
-
-// overheadSlowdown extracts a row's slowdown metric (for tests).
-func overheadSlowdown(r Row) float64 {
-	for _, kv := range r.Extra {
-		if kv.K == "slowdown" {
-			return kv.V
-		}
-	}
-	return math.NaN()
 }

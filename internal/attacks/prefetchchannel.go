@@ -192,8 +192,8 @@ func (s *t15Spy) Step(m *kernel.Machine) kernel.Status {
 	}
 }
 
-// buildPrefetchChannel constructs one T15 configuration.
-func buildPrefetchChannel(label string, prot core.Config, rounds int, seed uint64, cc *CellContext) (*kernel.System, func(kernel.Report) Row) {
+// runPrefetchChannel runs one T15 configuration.
+func runPrefetchChannel(cc *CellContext, label string, prot core.Config, rounds int, seed uint64) Row {
 	pcfg := platform.DefaultConfig()
 	pcfg.Cores = 1
 
@@ -213,36 +213,14 @@ func buildPrefetchChannel(label string, prot core.Config, rounds int, seed uint6
 	}
 
 	seq := cc.symbolSeq(rounds+8, 2, seed)
-	syms := &cc.syms
-	obs := &cc.obs
 
 	spawn(sys, 0, "trojan", 0, &t15Trojan{
-		rounds: rounds, seq: seq, syms: syms, spin: epochSpin{burn: 180},
+		rounds: rounds, seq: seq, syms: &cc.syms, spin: epochSpin{burn: 180},
 	})
 	spawn(sys, 1, "spy", 0, &t15Spy{
-		rounds: rounds, pageOrder: cc.shuffledOffsets(t15Ways, 1, seed^0xF3), obs: obs,
+		rounds: rounds, pageOrder: cc.shuffledOffsets(t15Ways, 1, seed^0xF3), obs: &cc.obs,
 		spin: epochSpin{burn: 180},
 	})
 
-	return sys, func(rep kernel.Report) Row {
-		labels, vals := cc.label(syms, obs, 3)
-		est, err := cc.estimateLabelled(labels, vals, 16, seed^0x15F)
-		if err != nil {
-			panic(err)
-		}
-		return Row{Label: label, Est: est, ErrRate: nan(), SimOps: rep.Ops}
-	}
-}
-
-// runPrefetchChannel runs one T15 configuration.
-func runPrefetchChannel(cc *CellContext, label string, prot core.Config, rounds int, seed uint64) Row {
-	sys, finish := buildPrefetchChannel(label, prot, rounds, seed, cc)
-	return finish(mustRun(sys))
-}
-
-// T15Prefetch reproduces experiment T15: the stride-prefetcher channel,
-// closed by the switch-time flush and by nothing else — the demand
-// footprint is symbol-independent by construction.
-func T15Prefetch(rounds int, seed uint64) Experiment {
-	return mustScenario("T15").Experiment(rounds, seed)
+	return cc.scalarRow(label, mustRun(sys).Ops, 3, 16, seed^0x15F)
 }

@@ -229,9 +229,9 @@ func (s *t2Spy) Step(m *kernel.Machine) kernel.Status {
 	}
 }
 
-// buildL1PrimeProbe constructs one T2 configuration; finish turns the
-// harness logs into the measured row once the system has run.
-func buildL1PrimeProbe(label string, prot core.Config, p l1Params, seed uint64, cc *CellContext) (*kernel.System, func(kernel.Report) Row) {
+// runL1PrimeProbe runs one T2 configuration and returns its row.
+func runL1PrimeProbe(cc *CellContext, label string, prot core.Config, rounds int, seed uint64) Row {
+	p := defaultL1Params(rounds)
 	pcfg := platform.DefaultConfig()
 	pcfg.Cores = 1
 	seq := cc.symbolSeq(p.rounds+8, p.groups, seed)
@@ -251,38 +251,18 @@ func buildL1PrimeProbe(label string, prot core.Config, p l1Params, seed uint64, 
 		panic(fmt.Sprintf("attacks: T2 %s: %v", label, err))
 	}
 
-	syms := &cc.syms
-	obs := &cc.obs
 	setOrder := cc.shuffledOffsets(p.setsPerGroup, 1, seed^0xA0)
 
 	spawn(sys, 0, "trojan", 0, &t2Trojan{
-		p: p, seq: seq, setOrder: setOrder, syms: syms, spin: epochSpin{burn: 180},
+		p: p, seq: seq, setOrder: setOrder, syms: &cc.syms, spin: epochSpin{burn: 180},
 	})
 	spawn(sys, 1, "spy", 0, &t2Spy{
-		p: p, obs: obs,
+		p: p, obs: &cc.obs,
 		prb:  l1Probe{p: p, setOrder: setOrder},
 		spin: epochSpin{burn: 180},
 	})
 
-	return sys, func(rep kernel.Report) Row {
-		labels, vals := cc.label(syms, obs, 4)
-		row := cc.decodePairs(label, labels, vals, seed^0x5151)
-		row.SimOps = rep.Ops
-		return row
-	}
-}
-
-// runL1PrimeProbe runs one T2 configuration and returns its row.
-func runL1PrimeProbe(cc *CellContext, label string, prot core.Config, p l1Params, seed uint64) Row {
-	sys, finish := buildL1PrimeProbe(label, prot, p, seed, cc)
-	return finish(mustRun(sys))
-}
-
-// T2L1PrimeProbe reproduces experiment T2: the L1-D prime-and-probe
-// covert channel on a time-shared core, under no protection, flush-only,
-// and flush+pad.
-func T2L1PrimeProbe(rounds int, seed uint64) Experiment {
-	return mustScenario("T2").Experiment(rounds, seed)
+	return cc.decodedRow(label, mustRun(sys).Ops, 4, seed^0x5151)
 }
 
 // llcParams sizes the T3 scenario.
@@ -462,11 +442,12 @@ func (s *t3Spy) Step(m *kernel.Machine) kernel.Status {
 	}
 }
 
-// buildLLCPrimeProbe constructs one T3 configuration: Trojan and spy on
+// runLLCPrimeProbe runs one T3 configuration: Trojan and spy on
 // separate cores, running concurrently; no domain switch ever happens,
 // so flushing and padding are structurally irrelevant and only colouring
 // can help.
-func buildLLCPrimeProbe(label string, prot core.Config, p llcParams, seed uint64, cc *CellContext) (*kernel.System, func(kernel.Report) Row) {
+func runLLCPrimeProbe(cc *CellContext, label string, prot core.Config, windows int, seed uint64) Row {
+	p := defaultLLCParams(windows)
 	pcfg := platform.DefaultConfig()
 	pcfg.Cores = 2
 	pcfg.LLCSets = 512 // 256 KiB, 8 colours: small enough to thrash
@@ -511,31 +492,18 @@ func buildLLCPrimeProbe(label string, prot core.Config, p llcParams, seed uint64
 	}
 
 	seq := cc.symbolSeq(p.windows+8, 2, seed)
-	syms := &cc.syms
-	obs := &cc.obs
 	lineOrder := cc.shuffledOffsets(hw.LinesPerPage, 2, seed^0xB7)
 
 	spawn(sys, 0, "trojan", 1, &t3Trojan{
 		windows: p.windows, windowLen: p.windowLen,
-		seq: seq, trojG: trojG, lineOrder: lineOrder, syms: syms,
+		seq: seq, trojG: trojG, lineOrder: lineOrder, syms: &cc.syms,
 	})
 	spawn(sys, 1, "spy", 0, &t3Spy{
 		windowLen: p.windowLen, windows: p.windows,
-		spyG: spyG, lineOrder: lineOrder, obs: obs,
+		spyG: spyG, lineOrder: lineOrder, obs: &cc.obs,
 	})
 
-	return sys, func(rep kernel.Report) Row {
-		labels, vals := cc.label(syms, obs, 6)
-		row := cc.decodePairs(label, labels, vals, seed^0x1313)
-		row.SimOps = rep.Ops
-		return row
-	}
-}
-
-// runLLCPrimeProbe runs one T3 configuration.
-func runLLCPrimeProbe(cc *CellContext, label string, prot core.Config, p llcParams, seed uint64) Row {
-	sys, finish := buildLLCPrimeProbe(label, prot, p, seed, cc)
-	return finish(mustRun(sys))
+	return cc.decodedRow(label, mustRun(sys).Ops, 6, seed^0x1313)
 }
 
 func sortedKeys(m map[int][]int) []int {
@@ -549,10 +517,4 @@ func sortedKeys(m map[int][]int) []int {
 		}
 	}
 	return out
-}
-
-// T3LLCPrimeProbe reproduces experiment T3: the cross-core LLC
-// prime-and-probe channel, closed by cache colouring and by nothing else.
-func T3LLCPrimeProbe(windows int, seed uint64) Experiment {
-	return mustScenario("T3").Experiment(windows, seed)
 }

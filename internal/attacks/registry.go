@@ -7,12 +7,13 @@ import (
 
 	"timeprot/internal/core"
 	"timeprot/internal/hw/interconn"
+	"timeprot/internal/hw/mem"
 )
 
 // This file is the scenario registry: the single declarative table of
 // every attack scenario, its canonical mitigation variants, and its
-// rounds policy. The T2..T14 experiment constructors are thin views over
-// it, and internal/experiment's sweep engine addresses individual
+// rounds policy. Scenario.Experiment assembles a scenario's whole table,
+// and internal/experiment's sweep engine addresses individual
 // (scenario, variant, seed) cells through it. Every variant runner
 // builds a private kernel.System, so distinct cells may execute
 // concurrently with bit-identical results.
@@ -35,7 +36,7 @@ type Variant struct {
 // NewVariant builds a variant from its runner, for dynamically
 // registered scenarios assembled outside this package (the discovery
 // fuzzer's witness replays). Static-table variants use the package's
-// internal constructors.
+// variant constructor.
 func NewVariant(label string, prot core.Config, run func(cc *CellContext, rounds int, seed uint64) Row) Variant {
 	return Variant{Label: label, Prot: prot, run: run}
 }
@@ -55,8 +56,8 @@ func (v Variant) Run(rounds int, seed uint64) Row {
 // total. The context's machines are released (and its buffers rewound
 // on the next run) even if the scenario panics.
 func (v Variant) RunIn(cc *CellContext, rounds int, seed uint64) Row {
-	cc.beginRun()
-	defer cc.endRun()
+	cc.BeginRun()
+	defer cc.EndRun()
 	row := v.run(cc, rounds, seed)
 	row.Rounds = rounds
 	row.RoundsRun = rounds
@@ -67,7 +68,7 @@ func (v Variant) RunIn(cc *CellContext, rounds int, seed uint64) Row {
 // policy, and (when the underlying runner is configuration-shaped) a
 // custom-configuration entry point.
 type Scenario struct {
-	// ID is the experiment identifier ("T2".."T14").
+	// ID is the experiment identifier ("T2".."T17").
 	ID string
 	// Name is the short CLI name ("l1pp", "bus", ...).
 	Name string
@@ -77,8 +78,9 @@ type Scenario struct {
 	// store's cache key. Bump it whenever the scenario's construction
 	// or measurement changes in a way that can alter its rows (program
 	// logic, platform sizing, estimator inputs); stale cached cells
-	// then automatically read as misses. Execution-path refactors that
-	// the equivalence tests prove row-identical do not bump it.
+	// then automatically read as misses. Refactors that leave every row
+	// byte-identical do not bump it; the cold regeneration of
+	// EXPERIMENTS.md (TestExperimentsColdRegen) is the check that they do.
 	Version int
 	// Rounds maps requested rounds to the effective per-variant rounds
 	// (raising to the scenario's statistical minimum, or rescaling for
@@ -248,7 +250,7 @@ func ScenarioIDs() []string {
 	return out
 }
 
-// mustScenario is the registry lookup for the T2..T14 constructors.
+// mustScenario looks up a static scenario by ID; a missing one is a bug.
 func mustScenario(id string) Scenario {
 	s, ok := ScenarioByID(id)
 	if !ok {
@@ -284,24 +286,6 @@ func fullWithout(mut func(*core.Config)) core.Config {
 	return c
 }
 
-// Custom-configuration adapters for runners whose parameters derive from
-// rounds.
-func customL1(cc *CellContext, label string, prot core.Config, rounds int, seed uint64) Row {
-	return runL1PrimeProbe(cc, label, prot, defaultL1Params(rounds), seed)
-}
-
-func customLLC(cc *CellContext, label string, prot core.Config, rounds int, seed uint64) Row {
-	return runLLCPrimeProbe(cc, label, prot, defaultLLCParams(rounds), seed)
-}
-
-func customOverhead(cc *CellContext, label string, prot core.Config, rounds int, _ uint64) Row {
-	if rounds < 4 {
-		rounds = 4
-	}
-	row, _ := runOverhead(cc, label, prot, rounds)
-	return row
-}
-
 // finalizeOverheads appends the slowdown-vs-first-row column T12
 // reports: each row's cycles_per_op relative to the first row's.
 func finalizeOverheads(rows []Row) []Row {
@@ -331,29 +315,33 @@ func extraValue(r Row, key string) float64 {
 }
 
 // scenarios is the registry table. Variant labels, orders, and seed
-// derivations reproduce the historical T2..T14 tables exactly.
+// derivations reproduce the historical T2..T17 tables exactly. Every
+// variant is one variant(label, prot, runner) entry; a knob that is not
+// a core.Config field (T7's placement, T8's limiter, arbiter and
+// encoding, T9's pad mode, T11's pad, T16's layout) is bound by a
+// closure around the scenario's runner.
 var scenarios = []Scenario{
 	{
 		ID: "T2", Name: "l1pp", Version: 1,
 		Title:  "L1-D prime-and-probe, time-shared core (§3.1)",
 		Rounds: minRounds(30),
 		Variants: []Variant{
-			variant("unprotected", core.NoProtection(), customL1),
-			variant("flush-only", flushOnlyConfig(), customL1),
-			variant("flush+pad (full)", core.FullProtection(), customL1),
+			variant("unprotected", core.NoProtection(), runL1PrimeProbe),
+			variant("flush-only", flushOnlyConfig(), runL1PrimeProbe),
+			variant("flush+pad (full)", core.FullProtection(), runL1PrimeProbe),
 		},
-		Custom: customL1,
+		Custom: runL1PrimeProbe,
 	},
 	{
 		ID: "T3", Name: "llcpp", Version: 1,
 		Title:  "LLC prime-and-probe, concurrent cross-core (§4.1)",
 		Rounds: minRounds(30),
 		Variants: []Variant{
-			variant("unprotected", core.NoProtection(), customLLC),
-			variant("flush+pad (no colour)", flushPadConfig(), customLLC),
-			variant("coloured (full)", core.FullProtection(), customLLC),
+			variant("unprotected", core.NoProtection(), runLLCPrimeProbe),
+			variant("flush+pad (no colour)", flushPadConfig(), runLLCPrimeProbe),
+			variant("coloured (full)", core.FullProtection(), runLLCPrimeProbe),
 		},
-		Custom: customLLC,
+		Custom: runLLCPrimeProbe,
 	},
 	{
 		ID: "T4", Name: "flush", Version: 1,
@@ -390,21 +378,14 @@ var scenarios = []Scenario{
 		Title:  "SMT sibling channel through the live-shared L1 (§4.1)",
 		Rounds: minRounds(30),
 		Variants: []Variant{
-			{
-				Label: "SMT co-resident (flush+colour)",
-				Prot:  fullWithout(func(c *core.Config) { c.DisallowSMTSharing = false }),
-				run: func(cc *CellContext, rounds int, seed uint64) Row {
-					return runSMT(cc, "SMT co-resident (flush+colour)",
-						fullWithout(func(c *core.Config) { c.DisallowSMTSharing = false }), true, rounds, seed)
-				},
-			},
-			{
-				Label: "policy: co-scheduled domains",
-				Prot:  core.FullProtection(),
-				run: func(cc *CellContext, rounds int, seed uint64) Row {
-					return runSMT(cc, "policy: co-scheduled domains", core.FullProtection(), false, rounds, seed)
-				},
-			},
+			variant("SMT co-resident (flush+colour)", fullWithout(func(c *core.Config) { c.DisallowSMTSharing = false }),
+				func(cc *CellContext, label string, prot core.Config, rounds int, seed uint64) Row {
+					return runSMT(cc, label, prot, true, rounds, seed)
+				}),
+			variant("policy: co-scheduled domains", core.FullProtection(),
+				func(cc *CellContext, label string, prot core.Config, rounds int, seed uint64) Row {
+					return runSMT(cc, label, prot, false, rounds, seed)
+				}),
 		},
 	},
 	{
@@ -412,38 +393,30 @@ var scenarios = []Scenario{
 		Title:  "stateless interconnect: bandwidth covert channel (§2)",
 		Rounds: minRounds(30),
 		Variants: []Variant{
-			{
-				Label: "full protection, volume", Prot: core.FullProtection(),
-				run: func(cc *CellContext, rounds int, seed uint64) Row {
-					return runBus(cc, "full protection, volume", core.FullProtection(), nil, false, busVolume, rounds, seed)
-				},
-			},
-			{
-				// An unthrottled streaming core issues roughly one
-				// transfer per ~300 cycles (~40 per 12k-cycle window);
-				// a quota of 15 cuts the sustained rate to ~37% while
-				// still letting window-start bursts through — the
-				// approximate enforcement of footnote 1, which
-				// attenuates the channel without closing it.
-				Label: "with MBA limiter, volume", Prot: core.FullProtection(),
-				run: func(cc *CellContext, rounds int, seed uint64) Row {
+			variant("full protection, volume", core.FullProtection(),
+				func(cc *CellContext, label string, prot core.Config, rounds int, seed uint64) Row {
+					return runBus(cc, label, prot, nil, false, busVolume, rounds, seed)
+				}),
+			// An unthrottled streaming core issues roughly one transfer
+			// per ~300 cycles (~40 per 12k-cycle window); a quota of 15
+			// cuts the sustained rate to ~37% while still letting
+			// window-start bursts through — the approximate enforcement
+			// of footnote 1, which attenuates the channel without
+			// closing it.
+			variant("with MBA limiter, volume", core.FullProtection(),
+				func(cc *CellContext, label string, prot core.Config, rounds int, seed uint64) Row {
 					mba := interconn.NewMBALimiter(12_000)
 					mba.SetQuota(1, 15) // throttle the Trojan's core
-					return runBus(cc, "with MBA limiter, volume", core.FullProtection(), mba, false, busVolume, rounds, seed)
-				},
-			},
-			{
-				Label: "TDM bus (hypothetical hw)", Prot: core.FullProtection(),
-				run: func(cc *CellContext, rounds int, seed uint64) Row {
-					return runBus(cc, "TDM bus (hypothetical hw)", core.FullProtection(), nil, true, busVolume, rounds, seed)
-				},
-			},
-			{
-				Label: "address encoding (side ch.)", Prot: core.FullProtection(),
-				run: func(cc *CellContext, rounds int, seed uint64) Row {
-					return runBus(cc, "address encoding (side ch.)", core.FullProtection(), nil, false, busAddress, rounds, seed)
-				},
-			},
+					return runBus(cc, label, prot, mba, false, busVolume, rounds, seed)
+				}),
+			variant("TDM bus (hypothetical hw)", core.FullProtection(),
+				func(cc *CellContext, label string, prot core.Config, rounds int, seed uint64) Row {
+					return runBus(cc, label, prot, nil, true, busVolume, rounds, seed)
+				}),
+			variant("address encoding (side ch.)", core.FullProtection(),
+				func(cc *CellContext, label string, prot core.Config, rounds int, seed uint64) Row {
+					return runBus(cc, label, prot, nil, false, busAddress, rounds, seed)
+				}),
 		},
 	},
 	{
@@ -451,32 +424,22 @@ var scenarios = []Scenario{
 		Title:  "Fig. 1 downgrader: secret-dependent message timing (§3.2, §4.3)",
 		Rounds: minRounds(120),
 		Variants: []Variant{
-			{
-				Label: "unprotected", Prot: core.NoProtection(),
-				run: func(cc *CellContext, rounds int, seed uint64) Row {
-					return runDowngrader(cc, "unprotected", core.NoProtection(), padNone, rounds, seed)
-				},
-			},
-			{
-				Label: "pad-only (no min-delivery)",
-				Prot:  fullWithout(func(c *core.Config) { c.MinDeliveryIPC = false }),
-				run: func(cc *CellContext, rounds int, seed uint64) Row {
-					return runDowngrader(cc, "pad-only (no min-delivery)",
-						fullWithout(func(c *core.Config) { c.MinDeliveryIPC = false }), padNone, rounds, seed)
-				},
-			},
-			{
-				Label: "full, busy-loop pad", Prot: core.FullProtection(),
-				run: func(cc *CellContext, rounds int, seed uint64) Row {
-					return runDowngrader(cc, "full, busy-loop pad", core.FullProtection(), padBusyLoop, rounds, seed)
-				},
-			},
-			{
-				Label: "full, interim process", Prot: core.FullProtection(),
-				run: func(cc *CellContext, rounds int, seed uint64) Row {
-					return runDowngrader(cc, "full, interim process", core.FullProtection(), padInterim, rounds, seed)
-				},
-			},
+			variant("unprotected", core.NoProtection(),
+				func(cc *CellContext, label string, prot core.Config, rounds int, seed uint64) Row {
+					return runDowngrader(cc, label, prot, padNone, rounds, seed)
+				}),
+			variant("pad-only (no min-delivery)", fullWithout(func(c *core.Config) { c.MinDeliveryIPC = false }),
+				func(cc *CellContext, label string, prot core.Config, rounds int, seed uint64) Row {
+					return runDowngrader(cc, label, prot, padNone, rounds, seed)
+				}),
+			variant("full, busy-loop pad", core.FullProtection(),
+				func(cc *CellContext, label string, prot core.Config, rounds int, seed uint64) Row {
+					return runDowngrader(cc, label, prot, padBusyLoop, rounds, seed)
+				}),
+			variant("full, interim process", core.FullProtection(),
+				func(cc *CellContext, label string, prot core.Config, rounds int, seed uint64) Row {
+					return runDowngrader(cc, label, prot, padInterim, rounds, seed)
+				}),
 		},
 	},
 	{
@@ -484,18 +447,14 @@ var scenarios = []Scenario{
 		Title:  "padding sufficiency by timestamp comparison (§5)",
 		Rounds: minRounds(20),
 		Variants: []Variant{
-			{
-				Label: "pad=25k (sufficient)", Prot: core.FullProtection(),
-				run: func(cc *CellContext, rounds int, _ uint64) Row {
-					return runPaddingSufficiency(cc, "pad=25k (sufficient)", 25_000, rounds)
-				},
-			},
-			{
-				Label: "pad=600 (insufficient)", Prot: core.FullProtection(),
-				run: func(cc *CellContext, rounds int, _ uint64) Row {
-					return runPaddingSufficiency(cc, "pad=600 (insufficient)", 600, rounds)
-				},
-			},
+			variant("pad=25k (sufficient)", core.FullProtection(),
+				func(cc *CellContext, label string, prot core.Config, rounds int, _ uint64) Row {
+					return runPaddingSufficiency(cc, label, prot, 25_000, rounds)
+				}),
+			variant("pad=600 (insufficient)", core.FullProtection(),
+				func(cc *CellContext, label string, prot core.Config, rounds int, _ uint64) Row {
+					return runPaddingSufficiency(cc, label, prot, 600, rounds)
+				}),
 		},
 	},
 	{
@@ -505,12 +464,12 @@ var scenarios = []Scenario{
 		// requested rounds rescale so the default sweep stays fast.
 		Rounds: func(r int) int { return r/8 + 4 },
 		Variants: []Variant{
-			variant("unprotected", core.NoProtection(), customOverhead),
-			variant("flush", flushOnlyConfig(), customOverhead),
-			variant("flush+pad", flushPadConfig(), customOverhead),
-			variant("full (colour+clone+irq)", core.FullProtection(), customOverhead),
+			variant("unprotected", core.NoProtection(), runOverhead),
+			variant("flush", flushOnlyConfig(), runOverhead),
+			variant("flush+pad", flushPadConfig(), runOverhead),
+			variant("full (colour+clone+irq)", core.FullProtection(), runOverhead),
 		},
-		Custom:   customOverhead,
+		Custom:   runOverhead,
 		finalize: finalizeOverheads,
 	},
 	{
@@ -544,10 +503,42 @@ var scenarios = []Scenario{
 		Custom: runPrefetchChannel,
 	},
 	{
+		// T16 sweeps the colour-partition width. Colour 0 stays
+		// reserved for the kernel throughout, which is exactly what
+		// makes the 2-colour platform unsplittable.
 		ID: "T16", Name: "occupancy", Version: 1,
-		Title:    "whole-LLC occupancy channel across colour-partition widths (§4.1)",
-		Rounds:   minRounds(30),
-		Variants: t16Variants(),
+		Title:  "whole-LLC occupancy channel across colour-partition widths (§4.1)",
+		Rounds: minRounds(30),
+		Variants: []Variant{
+			// The baseline ablation: the platform could be split 3+4
+			// but the designer left colouring off.
+			variant("no colouring (8 colours)", flushPadConfig(),
+				func(cc *CellContext, label string, prot core.Config, rounds int, seed uint64) Row {
+					return runOccupancy(cc, label, prot, t16Layout{llcSets: 512}, rounds, seed)
+				}),
+			// 128-set LLC -> colours {0,1}; 0 is the kernel's, so no
+			// disjoint user split exists and colouring cannot be armed.
+			variant("coarse: 2 colours, no split", flushPadConfig(),
+				func(cc *CellContext, label string, prot core.Config, rounds int, seed uint64) Row {
+					return runOccupancy(cc, label, prot, t16Layout{llcSets: 128}, rounds, seed)
+				}),
+			variant("split: 4 colours (1+2)", core.FullProtection(),
+				func(cc *CellContext, label string, prot core.Config, rounds int, seed uint64) Row {
+					return runOccupancy(cc, label, prot, t16Layout{
+						llcSets: 256,
+						hi:      mem.ColorRange(1, 2), // {1}
+						lo:      mem.ColorRange(2, 4), // {2,3}
+					}, rounds, seed)
+				}),
+			variant("split: 8 colours (full)", core.FullProtection(),
+				func(cc *CellContext, label string, prot core.Config, rounds int, seed uint64) Row {
+					return runOccupancy(cc, label, prot, t16Layout{
+						llcSets: 512,
+						hi:      mem.ColorRange(1, 4), // {1,2,3}
+						lo:      mem.ColorRange(4, 8), // {4..7}
+					}, rounds, seed)
+				}),
+		},
 	},
 	{
 		ID: "T17", Name: "xcore", Version: 1,
@@ -560,28 +551,4 @@ var scenarios = []Scenario{
 		},
 		Custom: runXCore,
 	},
-}
-
-// t16Variants builds T16's colour-partition-width sweep: each variant
-// carries its own domain colour layout, so the distinguishing knob is
-// the t16Spec table rather than a core.Config field.
-func t16Variants() []Variant {
-	labels := []string{
-		"no colouring (8 colours)",
-		"coarse: 2 colours, no split",
-		"split: 4 colours (1+2)",
-		"split: 8 colours (full)",
-	}
-	out := make([]Variant, 0, len(labels))
-	for _, label := range labels {
-		label := label
-		out = append(out, Variant{
-			Label: label,
-			Prot:  t16Spec(label).prot,
-			run: func(cc *CellContext, rounds int, seed uint64) Row {
-				return runOccupancy(cc, label, rounds, seed)
-			},
-		})
-	}
-	return out
 }

@@ -69,8 +69,9 @@ func TestRoundsPolicy(t *testing.T) {
 }
 
 // TestExperimentMatchesVariantCells verifies the registry's core
-// contract: a Tn table is exactly its variants' cells run in order (so
-// the sweep engine's per-cell results compose into the same tables).
+// contract: a scenario's table is exactly its variants' cells run in
+// order (so the sweep engine's per-cell results compose into the same
+// tables).
 func TestExperimentMatchesVariantCells(t *testing.T) {
 	const rounds, seed = 30, 9
 	s, _ := ScenarioByID("T4")

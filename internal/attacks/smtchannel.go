@@ -157,10 +157,10 @@ func (s *t7Spy) Step(m *kernel.Machine) kernel.Status {
 	}
 }
 
-// buildSMT constructs one T7 configuration. coResident selects the
+// runSMT runs one T7 configuration. coResident selects the
 // insecure placement (Hi and Lo pinned to sibling hardware threads)
 // versus the policy-compliant time-shared placement.
-func buildSMT(label string, prot core.Config, coResident bool, windows int, seed uint64, cc *CellContext) (*kernel.System, func(kernel.Report) Row) {
+func runSMT(cc *CellContext, label string, prot core.Config, coResident bool, windows int, seed uint64) Row {
 	pcfg := platform.DefaultConfig()
 	pcfg.Cores = 1
 	pcfg.SMTWays = 2
@@ -187,36 +187,14 @@ func buildSMT(label string, prot core.Config, coResident bool, windows int, seed
 	}
 
 	seq := cc.symbolSeq(windows+8, 2, seed)
-	syms := &cc.syms
-	obs := &cc.obs
 	setOrder := cc.shuffledOffsets(t7SpyLines, 1, seed^0xE1)
 
 	spawn(sys, 0, "trojan", trojCPU, &t7Trojan{
-		windows: windows, seq: seq, setOrder: setOrder, syms: syms,
+		windows: windows, seq: seq, setOrder: setOrder, syms: &cc.syms,
 	})
 	spawn(sys, 1, "spy", spyCPU, &t7Spy{
-		windows: windows, setOrder: setOrder, obs: obs,
+		windows: windows, setOrder: setOrder, obs: &cc.obs,
 	})
 
-	return sys, func(rep kernel.Report) Row {
-		labels, vals := cc.label(syms, obs, 6)
-		est, err := cc.estimateLabelled(labels, vals, 16, seed^0x7777)
-		if err != nil {
-			panic(err)
-		}
-		return Row{Label: label, Est: est, ErrRate: nan(), SimOps: rep.Ops}
-	}
-}
-
-// runSMT runs one T7 configuration.
-func runSMT(cc *CellContext, label string, prot core.Config, coResident bool, windows int, seed uint64) Row {
-	sys, finish := buildSMT(label, prot, coResident, windows, seed, cc)
-	return finish(mustRun(sys))
-}
-
-// T7SMT reproduces experiment T7: cross-domain SMT co-residency leaks
-// through the live-shared L1 despite flushing and colouring; the only
-// remedy is the scheduler policy banning such placements.
-func T7SMT(windows int, seed uint64) Experiment {
-	return mustScenario("T7").Experiment(windows, seed)
+	return cc.scalarRow(label, mustRun(sys).Ops, 6, 16, seed^0x7777)
 }

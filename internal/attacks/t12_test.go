@@ -3,12 +3,12 @@ package attacks
 import "testing"
 
 func TestT12Overheads(t *testing.T) {
-	e := T12Overheads(6, 42)
+	e := mustScenario("T12").Experiment(6, 42)
 	t.Logf("\n%s", e)
 	if len(e.Rows) != 4 {
 		t.Fatalf("rows = %d", len(e.Rows))
 	}
-	if s := overheadSlowdown(e.Rows[0]); s != 1.0 {
+	if s := extraValue(e.Rows[0], "slowdown"); s != 1.0 {
 		t.Fatalf("baseline slowdown = %f", s)
 	}
 	// Protection must cost something, and each stronger configuration
@@ -16,7 +16,7 @@ func TestT12Overheads(t *testing.T) {
 	// cache-alignment noise).
 	prev := 1.0
 	for _, r := range e.Rows[1:] {
-		s := overheadSlowdown(r)
+		s := extraValue(r, "slowdown")
 		if s < 1.0 {
 			t.Errorf("%s: slowdown %f < 1", r.Label, s)
 		}

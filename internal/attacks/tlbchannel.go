@@ -149,8 +149,8 @@ func (s *t14Spy) Step(m *kernel.Machine) kernel.Status {
 	}
 }
 
-// buildTLBChannel constructs one T14 configuration.
-func buildTLBChannel(label string, prot core.Config, rounds int, seed uint64, cc *CellContext) (*kernel.System, func(kernel.Report) Row) {
+// runTLBChannel runs one T14 configuration.
+func runTLBChannel(cc *CellContext, label string, prot core.Config, rounds int, seed uint64) Row {
 	pcfg := platform.DefaultConfig()
 	pcfg.Cores = 1
 
@@ -170,36 +170,13 @@ func buildTLBChannel(label string, prot core.Config, rounds int, seed uint64, cc
 	}
 
 	seq := cc.symbolSeq(rounds+8, t14Arity, seed)
-	syms := &cc.syms
-	obs := &cc.obs
 
 	spawn(sys, 0, "trojan", 0, &t14Trojan{
-		rounds: rounds, seq: seq, syms: syms, spin: epochSpin{burn: 180},
+		rounds: rounds, seq: seq, syms: &cc.syms, spin: epochSpin{burn: 180},
 	})
 	spawn(sys, 1, "spy", 0, &t14Spy{
-		rounds: rounds, obs: obs, spin: epochSpin{burn: 180},
+		rounds: rounds, obs: &cc.obs, spin: epochSpin{burn: 180},
 	})
 
-	return sys, func(rep kernel.Report) Row {
-		labels, vals := cc.label(syms, obs, 3)
-		est, err := cc.estimateLabelled(labels, vals, 16, seed^0x71B)
-		if err != nil {
-			panic(err)
-		}
-		return Row{Label: label, Est: est, ErrRate: nan(), SimOps: rep.Ops}
-	}
-}
-
-// runTLBChannel runs one T14 configuration.
-func runTLBChannel(cc *CellContext, label string, prot core.Config, rounds int, seed uint64) Row {
-	sys, finish := buildTLBChannel(label, prot, rounds, seed, cc)
-	return finish(mustRun(sys))
-}
-
-// T14TLB reproduces experiment T14: the TLB working-set-size channel,
-// closed by the switch-time flush. Note the contrast with T10: ASID
-// tagging already guarantees functional isolation; only flushing
-// guarantees temporal isolation.
-func T14TLB(rounds int, seed uint64) Experiment {
-	return mustScenario("T14").Experiment(rounds, seed)
+	return cc.scalarRow(label, mustRun(sys).Ops, 3, 16, seed^0x71B)
 }

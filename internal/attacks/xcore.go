@@ -140,9 +140,9 @@ func t17Groups(sys *kernel.System) (spyG, trojG [t17Arity][]int) {
 	return spyG, trojG
 }
 
-// buildXCore constructs one T17 configuration: Trojan and spy
-// co-resident forever on separate cores.
-func buildXCore(label string, prot core.Config, rounds int, seed uint64, cc *CellContext) (*kernel.System, func(kernel.Report) Row) {
+// runXCore runs one T17 configuration: Trojan and spy co-resident
+// forever on separate cores.
+func runXCore(cc *CellContext, label string, prot core.Config, rounds int, seed uint64) Row {
 	pcfg := platform.DefaultConfig()
 	pcfg.Cores = 2
 	pcfg.LLCSets = 512 // 256 KiB, 8 colours
@@ -166,36 +166,16 @@ func buildXCore(label string, prot core.Config, rounds int, seed uint64, cc *Cel
 
 	spyG, trojG := t17Groups(sys)
 	seq := cc.symbolSeq(rounds+8, t17Arity, seed)
-	syms := &cc.syms
-	obs := &cc.obs
 	lineOrder := cc.shuffledOffsets(hw.LinesPerPage, 2, seed^0x17B)
 
 	spawn(sys, 0, "trojan", 1, &windowedThrasher{
 		windows: rounds, windowLen: t17WindowLen,
-		seq: seq, groups: trojG[:], lineOrder: lineOrder, syms: syms,
+		seq: seq, groups: trojG[:], lineOrder: lineOrder, syms: &cc.syms,
 	})
 	spawn(sys, 1, "spy", 0, &t17Spy{
 		windows: rounds, windowLen: t17WindowLen,
-		groups: spyG, lineOrder: lineOrder, obs: obs,
+		groups: spyG, lineOrder: lineOrder, obs: &cc.obs,
 	})
 
-	return sys, func(rep kernel.Report) Row {
-		labels, vals := cc.label(syms, obs, 6)
-		row := cc.decodePairs(label, labels, vals, seed^0x1717)
-		row.SimOps = rep.Ops
-		return row
-	}
-}
-
-// runXCore runs one T17 configuration.
-func runXCore(cc *CellContext, label string, prot core.Config, rounds int, seed uint64) Row {
-	sys, finish := buildXCore(label, prot, rounds, seed, cc)
-	return finish(mustRun(sys))
-}
-
-// T17XCore reproduces experiment T17: the multi-bit concurrent
-// cross-core LLC channel, closed by a disjoint colour partition and by
-// nothing else.
-func T17XCore(rounds int, seed uint64) Experiment {
-	return mustScenario("T17").Experiment(rounds, seed)
+	return cc.decodedRow(label, mustRun(sys).Ops, 6, seed^0x1717)
 }

@@ -45,7 +45,7 @@ func CheckAbstract(cfg absmodel.Config, p Pair, families int, baseSeed uint64) A
 		ob, ovb := nonintf.RunTrace(m, p.HiB)
 		v.Runs += 2
 		v.Overruns += ova + ovb
-		if idx, diff := firstObsDivergence(oa, ob); diff && v.Accepts {
+		if idx, _, _, diff := nonintf.FirstDivergence(oa, ob); diff && v.Accepts {
 			v.Accepts = false
 			v.DivergeFamily = seed
 			v.DivergeIndex = idx
@@ -55,22 +55,4 @@ func CheckAbstract(cfg absmodel.Config, p Pair, families int, baseSeed uint64) A
 		v.Accepts = false
 	}
 	return v
-}
-
-// firstObsDivergence finds the first position where two Lo observation
-// traces differ (length divergence counts at the shorter length).
-func firstObsDivergence(a, b []nonintf.Observation) (int, bool) {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			return i, true
-		}
-	}
-	if len(a) != len(b) {
-		return n, true
-	}
-	return 0, false
 }

@@ -240,7 +240,7 @@ func CheckBounded(cfg absmodel.Config, families int, extraRandom int, baseSeed u
 			obs, ov = runTraceInto(m, &s, hi, obs)
 			v.Runs++
 			v.PadOverruns += ov
-			if idx, a, b, diff := firstDivergence(ref, obs); diff {
+			if idx, a, b, diff := FirstDivergence(ref, obs); diff {
 				v.Proved = false
 				v.Counterexample = &Counterexample{
 					FamilySeed: seed,
@@ -288,7 +288,11 @@ func (r *split) next() uint64 {
 	return z ^ (z >> 31)
 }
 
-func firstDivergence(a, b []Observation) (int, Observation, Observation, bool) {
+// FirstDivergence finds the first position where two Lo observation
+// traces differ and returns it with both observations there (the zero
+// Observation past the end of the shorter trace); the final result is
+// false when the traces are identical.
+func FirstDivergence(a, b []Observation) (int, Observation, Observation, bool) {
 	n := len(a)
 	if len(b) < n {
 		n = len(b)

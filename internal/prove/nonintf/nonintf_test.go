@@ -201,14 +201,14 @@ func TestVerdictAndCounterexampleStrings(t *testing.T) {
 func TestFirstDivergence(t *testing.T) {
 	a := []Observation{{Clock: 1}, {Clock: 2}}
 	b := []Observation{{Clock: 1}, {Clock: 3}}
-	idx, oa, ob, diff := firstDivergence(a, b)
+	idx, oa, ob, diff := FirstDivergence(a, b)
 	if !diff || idx != 1 || oa.Clock != 2 || ob.Clock != 3 {
 		t.Fatalf("divergence = %d %v %v %v", idx, oa, ob, diff)
 	}
-	if _, _, _, diff := firstDivergence(a, a); diff {
+	if _, _, _, diff := FirstDivergence(a, a); diff {
 		t.Fatal("identical traces must not diverge")
 	}
-	if idx, _, _, diff := firstDivergence(a, a[:1]); !diff || idx != 1 {
+	if idx, _, _, diff := FirstDivergence(a, a[:1]); !diff || idx != 1 {
 		t.Fatal("length mismatch must diverge at the shorter length")
 	}
 }

@@ -2,6 +2,7 @@ package nonintf
 
 import (
 	"fmt"
+	"iter"
 	"strings"
 
 	"timeprot/internal/prove/absmodel"
@@ -67,46 +68,45 @@ func FormatActions(prog []absmodel.Action) string {
 	return "[" + strings.Join(parts, " ") + "]"
 }
 
-// shrinkPair is one candidate shrink of a program pair.
-type shrinkPair struct {
-	a, b []absmodel.Action
-}
-
 // shrinkCandidates enumerates every single shrink step of the pair, in
 // fixed order: drop the trailing action of both programs, of one
 // program, then unify each differing position (either direction). Each
 // candidate is strictly smaller under the lexicographic measure
 // (total length, differing positions), so greedy shrinking terminates.
-func shrinkCandidates(a, b []absmodel.Action) []shrinkPair {
+// Every candidate is yielded as a fresh copy of both programs, built
+// only when the consumer asks for it: a shrink round stops at the first
+// candidate that still diverges, and the predicate may keep or modify
+// what it is given.
+func shrinkCandidates(a, b []absmodel.Action) iter.Seq2[[]absmodel.Action, []absmodel.Action] {
 	clone := func(p []absmodel.Action) []absmodel.Action {
 		return append([]absmodel.Action(nil), p...)
 	}
-	var out []shrinkPair
-	if len(a) > 1 && len(b) > 1 {
-		out = append(out, shrinkPair{a: clone(a[:len(a)-1]), b: clone(b[:len(b)-1])})
-	}
-	if len(a) > 1 {
-		out = append(out, shrinkPair{a: clone(a[:len(a)-1]), b: clone(b)})
-	}
-	if len(b) > 1 {
-		out = append(out, shrinkPair{a: clone(a), b: clone(b[:len(b)-1])})
-	}
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		if a[i] == b[i] {
-			continue
+	return func(yield func(ca, cb []absmodel.Action) bool) {
+		if len(a) > 1 && len(b) > 1 && !yield(clone(a[:len(a)-1]), clone(b[:len(b)-1])) {
+			return
 		}
-		ca := clone(a)
-		ca[i] = b[i]
-		out = append(out, shrinkPair{a: ca, b: clone(b)})
-		cb := clone(b)
-		cb[i] = a[i]
-		out = append(out, shrinkPair{a: clone(a), b: cb})
+		if len(a) > 1 && !yield(clone(a[:len(a)-1]), clone(b)) {
+			return
+		}
+		if len(b) > 1 && !yield(clone(a), clone(b[:len(b)-1])) {
+			return
+		}
+		for i := range min(len(a), len(b)) {
+			if a[i] == b[i] {
+				continue
+			}
+			ca := clone(a)
+			ca[i] = b[i]
+			if !yield(ca, clone(b)) {
+				return
+			}
+			cb := clone(b)
+			cb[i] = a[i]
+			if !yield(clone(a), cb) {
+				return
+			}
+		}
 	}
-	return out
 }
 
 // MinimizeWith greedily shrinks a program pair to a local minimum of an
@@ -125,10 +125,10 @@ func MinimizeWith(hiA, hiB []absmodel.Action, diverges func(a, b []absmodel.Acti
 	evals := 0
 	for changed := true; changed; {
 		changed = false
-		for _, cand := range shrinkCandidates(a, b) {
+		for ca, cb := range shrinkCandidates(a, b) {
 			evals++
-			if diverges(cand.a, cand.b) {
-				a, b = cand.a, cand.b
+			if diverges(ca, cb) {
+				a, b = ca, cb
 				changed = true
 				break
 			}
@@ -154,13 +154,13 @@ func Minimize(cfg absmodel.Config, c *Counterexample) *Witness {
 		runs += 2
 		bufA, _ = runTraceInto(m, &s, a, bufA)
 		bufB, _ = runTraceInto(m, &s, b, bufB)
-		_, _, _, d := firstDivergence(bufA, bufB)
+		_, _, _, d := FirstDivergence(bufA, bufB)
 		return d
 	}
 	a, b, _ := MinimizeWith(c.HiA, c.HiB, diverges)
 	oa, _ := RunTrace(m, a)
 	ob, _ := RunTrace(m, b)
-	idx, _, _, _ := firstDivergence(oa, ob)
+	idx, _, _, _ := FirstDivergence(oa, ob)
 	cut := func(obs []Observation) []Observation {
 		if idx+1 < len(obs) {
 			return obs[:idx+1]

@@ -39,7 +39,7 @@ func TestWitnessMinimality(t *testing.T) {
 			diverges := func(a, b []absmodel.Action) (int, bool) {
 				oa, _ := RunTrace(m, a)
 				ob, _ := RunTrace(m, b)
-				idx, _, _, d := firstDivergence(oa, ob)
+				idx, _, _, d := FirstDivergence(oa, ob)
 				return idx, d
 			}
 			idx, d := diverges(w.HiA, w.HiB)
@@ -49,11 +49,13 @@ func TestWitnessMinimality(t *testing.T) {
 			if idx != w.Index {
 				t.Fatalf("witness index %d, recomputed %d", w.Index, idx)
 			}
-			for i, cand := range shrinkCandidates(w.HiA, w.HiB) {
-				if _, d := diverges(cand.a, cand.b); d {
+			i := 0
+			for ca, cb := range shrinkCandidates(w.HiA, w.HiB) {
+				if _, d := diverges(ca, cb); d {
 					t.Errorf("shrink candidate %d (%s vs %s) still diverges — witness not minimal",
-						i, FormatActions(cand.a), FormatActions(cand.b))
+						i, FormatActions(ca), FormatActions(cb))
 				}
+				i++
 			}
 		})
 	}
