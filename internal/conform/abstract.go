@@ -32,17 +32,22 @@ type AbstractVerdict struct {
 // as the prover's bounded check, and compares Lo's observation traces.
 // The model accepts the pair only if the traces are identical in every
 // family and no pad budget overran — the claim the concrete simulator
-// then attempts to falsify.
+// then attempts to falsify. Every run resets one reused machine state and
+// writes into one of two reused trace buffers.
 func CheckAbstract(cfg absmodel.Config, p Pair, families int, baseSeed uint64) AbstractVerdict {
 	if families < 1 {
 		families = 1
 	}
 	v := AbstractVerdict{Accepts: true, Families: families}
+	m := absmodel.NewMachine(cfg, absmodel.Funcs{})
+	var s absmodel.State
+	var oa, ob []nonintf.Observation
 	for fam := 0; fam < families; fam++ {
 		seed := baseSeed + uint64(fam)*0x9E37
-		m := absmodel.NewMachine(cfg, absmodel.SampleFuncs(seed, cfg.DigestMod))
-		oa, ova := nonintf.RunTrace(m, p.HiA)
-		ob, ovb := nonintf.RunTrace(m, p.HiB)
+		m.F = absmodel.SampleFuncs(seed, cfg.DigestMod)
+		var ova, ovb int
+		oa, ova = nonintf.RunTraceInto(m, &s, p.HiA, oa)
+		ob, ovb = nonintf.RunTraceInto(m, &s, p.HiB, ob)
 		v.Runs += 2
 		v.Overruns += ova + ovb
 		if idx, _, _, diff := nonintf.FirstDivergence(oa, ob); diff && v.Accepts {

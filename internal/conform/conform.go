@@ -11,7 +11,7 @@
 // abstract action alphabet, runs each pair through BOTH sides on the
 // same protection configuration:
 //
-//   - abstract: nonintf.RunTrace over sampled time-function families —
+//   - abstract: nonintf.RunTraceInto over sampled time-function families —
 //     does Lo's observation trace distinguish the two programs?
 //   - concrete: a two-domain transmission run on the kernel simulator,
 //     where a Hi Trojan executes the symbol's program each round and a

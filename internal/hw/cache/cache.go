@@ -85,15 +85,16 @@ func (c Config) Colors() int {
 	return colors
 }
 
-// line is one cache line's bookkeeping.
+// line is one cache line's bookkeeping, packed into 24 bytes so a set's
+// ways scan densely. The zero value is an invalid line.
 type line struct {
-	valid bool
-	tag   uint64
-	dirty bool
-	owner hw.DomainID
+	tag uint64
 	// lru is a monotonically increasing use stamp; the smallest stamp
 	// in a set is the LRU victim.
-	lru uint64
+	lru   uint64
+	owner int32 // hw.DomainID of the filling domain
+	valid bool
+	dirty bool
 }
 
 // Stats accumulates access statistics.
@@ -122,14 +123,10 @@ func New(cfg Config) *Cache {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	c := &Cache{
+	return &Cache{
 		cfg:  cfg,
 		sets: make([]line, cfg.Sets*cfg.Ways),
 	}
-	for i := range c.sets {
-		c.sets[i].owner = hw.NoOwner
-	}
-	return c
 }
 
 // Config returns the cache's geometry.
@@ -142,13 +139,11 @@ func (c *Cache) Stats() Stats { return c.stats }
 func (c *Cache) ResetStats() { c.stats = Stats{} }
 
 // Reset restores the cache to its freshly constructed state: every line
-// invalid and unowned, the LRU clock and all statistics zero. It exists
+// invalid, the LRU clock and all statistics zero. It exists
 // for machine pooling — a Reset cache is indistinguishable from New(cfg),
 // so reusing one across experiment cells cannot change a measurement.
 func (c *Cache) Reset() {
-	for i := range c.sets {
-		c.sets[i] = line{owner: hw.NoOwner}
-	}
+	clear(c.sets)
 	c.clock = 0
 	c.stats = Stats{}
 }
@@ -165,7 +160,8 @@ func (c *Cache) Tag(lineNum uint64) uint64 {
 	return lineNum >> uint(log2(c.cfg.Sets))
 }
 
-// AccessResult describes the outcome of a cache access.
+// AccessResult describes the outcome of a cache access. The victim
+// fields are meaningful only on a miss.
 type AccessResult struct {
 	// Hit is true if the line was present.
 	Hit bool
@@ -173,12 +169,11 @@ type AccessResult struct {
 	Evicted bool
 	// WritebackVictim is true if a dirty line was evicted to make room.
 	WritebackVictim bool
-	// VictimOwner is the owner of the evicted line, if any.
+	// VictimOwner is the owner of the evicted line, or hw.NoOwner if
+	// the fill took an invalid way.
 	VictimOwner hw.DomainID
 	// VictimTag is the tag of the evicted line, if any.
 	VictimTag uint64
-	// Set is the set index that was accessed.
-	Set int
 }
 
 // Access looks up the line identified by (set, tag); on a miss it fills
@@ -186,56 +181,50 @@ type AccessResult struct {
 // attributes the fill. The returned result says whether it hit and whether
 // a dirty victim needs writing back.
 func (c *Cache) Access(set int, tag uint64, write bool, owner hw.DomainID) AccessResult {
-	res := AccessResult{Set: set}
 	base := set * c.cfg.Ways
+	ways := c.sets[base : base+c.cfg.Ways]
 	c.clock++
-	// Hit path.
-	for w := 0; w < c.cfg.Ways; w++ {
-		ln := &c.sets[base+w]
-		if ln.valid && ln.tag == tag {
+	for i := range ways {
+		ln := &ways[i]
+		if ln.tag == tag && ln.valid {
 			ln.lru = c.clock
-			if write {
-				ln.dirty = true
-			}
-			// Ownership follows the most recent accessor: a hit
-			// by another domain on a shared line (e.g. shared
-			// kernel text) is precisely the sharing the paper
-			// warns about; keep the original owner so the
-			// partition checker can see the cross-domain hit.
-			res.Hit = true
+			ln.dirty = ln.dirty || write
+			// A hit leaves the line's owner unchanged: a hit by
+			// another domain on a shared line (e.g. shared kernel
+			// text) is precisely the sharing the paper warns
+			// about, and keeping the original owner lets the
+			// partition checker see the cross-domain hit.
 			c.stats.Hits++
-			return res
+			return AccessResult{Hit: true}
 		}
 	}
-	// Miss: fill, choosing an invalid way or the LRU victim.
+	return c.fill(ways, tag, write, owner)
+}
+
+// fill handles a miss in one set's ways: it takes the first invalid way,
+// or else the LRU victim, and installs (tag, owner) there.
+func (c *Cache) fill(ways []line, tag uint64, write bool, owner hw.DomainID) AccessResult {
 	c.stats.Misses++
-	victim := -1
-	var oldest uint64 = ^uint64(0)
-	for w := 0; w < c.cfg.Ways; w++ {
-		ln := &c.sets[base+w]
-		if !ln.valid {
-			victim = w
+	victim := 0
+	for i := range ways {
+		if !ways[i].valid {
+			victim = i
 			break
 		}
-		if ln.lru < oldest {
-			oldest = ln.lru
-			victim = w
+		if ways[i].lru < ways[victim].lru {
+			victim = i
 		}
 	}
-	ln := &c.sets[base+victim]
+	ln := &ways[victim]
+	res := AccessResult{VictimOwner: hw.NoOwner}
 	if ln.valid {
 		c.stats.Evictions++
-		res.Evicted = true
 		if ln.dirty {
 			c.stats.Writebacks++
-			res.WritebackVictim = true
 		}
-		res.VictimOwner = ln.owner
-		res.VictimTag = ln.tag
-	} else {
-		res.VictimOwner = hw.NoOwner
+		res = AccessResult{Evicted: true, WritebackVictim: ln.dirty, VictimOwner: hw.DomainID(ln.owner), VictimTag: ln.tag}
 	}
-	*ln = line{valid: true, tag: tag, dirty: write, owner: owner, lru: c.clock}
+	*ln = line{tag: tag, lru: c.clock, owner: int32(owner), valid: true, dirty: write}
 	return res
 }
 
@@ -249,7 +238,7 @@ func (c *Cache) Invalidate(set int, tag uint64) (found, dirty bool) {
 		ln := &c.sets[base+w]
 		if ln.valid && ln.tag == tag {
 			found, dirty = true, ln.dirty
-			*ln = line{owner: hw.NoOwner}
+			*ln = line{}
 			return found, dirty
 		}
 	}
@@ -279,7 +268,7 @@ func (c *Cache) FlushAll() (dirty int) {
 		if c.sets[i].valid && c.sets[i].dirty {
 			dirty++
 		}
-		c.sets[i] = line{owner: hw.NoOwner}
+		c.sets[i] = line{}
 	}
 	c.stats.Flushes++
 	c.stats.FlushedDirty += uint64(dirty)
@@ -333,9 +322,9 @@ func (c *Cache) OwnersInSet(set int) []hw.DomainID {
 	seen := make(map[hw.DomainID]bool, 4)
 	for w := 0; w < c.cfg.Ways; w++ {
 		ln := &c.sets[base+w]
-		if ln.valid && !seen[ln.owner] {
-			seen[ln.owner] = true
-			owners = append(owners, ln.owner)
+		if o := hw.DomainID(ln.owner); ln.valid && !seen[o] {
+			seen[o] = true
+			owners = append(owners, o)
 		}
 	}
 	return owners
@@ -347,7 +336,7 @@ func (c *Cache) OccupancyByOwner() map[hw.DomainID]int {
 	occ := make(map[hw.DomainID]int)
 	for i := range c.sets {
 		if c.sets[i].valid {
-			occ[c.sets[i].owner]++
+			occ[hw.DomainID(c.sets[i].owner)]++
 		}
 	}
 	return occ

@@ -243,10 +243,10 @@ func TestFlushDirtyCountMatchesWrites(t *testing.T) {
 				written[key] = true
 			}
 			if res.WritebackVictim {
-				delete(written, [2]uint64{uint64(res.Set), res.VictimTag})
+				delete(written, [2]uint64{uint64(set), res.VictimTag})
 			} else if !res.Hit && res.VictimOwner != hw.NoOwner {
 				// clean eviction
-				delete(written, [2]uint64{uint64(res.Set), res.VictimTag})
+				delete(written, [2]uint64{uint64(set), res.VictimTag})
 			}
 		}
 		return c.FlushAll() == len(written)

@@ -16,12 +16,12 @@ func driveMix(t *testing.T, c *Core, pt *mem.PageTable) uint64 {
 	t.Helper()
 	var total uint64
 	for i := 0; i < 64; i++ {
-		info, err := c.Access(1, pt, hw.Addr(i*hw.PageSize), DataWrite, 1)
+		cycles, err := c.Access(1, pt, hw.Addr(i*hw.PageSize), DataWrite, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		total += info.Cycles
-		c.Clock.Advance(info.Cycles)
+		total += cycles
+		c.Clock.Advance(cycles)
 	}
 	for i := 0; i < 32; i++ {
 		cyc, _ := c.Branch(hw.Addr(0x4000+i*4), i%3 == 0)

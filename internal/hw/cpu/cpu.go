@@ -208,21 +208,6 @@ func (k AccessKind) String() string {
 	}
 }
 
-// AccessInfo reports where an access was satisfied, for traces and tests.
-type AccessInfo struct {
-	// Cycles is the total latency of the access.
-	Cycles uint64
-	// Level is 1, 2, 3 (LLC) or 4 (memory).
-	Level int
-	// TLBMiss is true if a page walk was needed.
-	TLBMiss bool
-	// PA is the translated physical address.
-	PA hw.PAddr
-	// LLCSet is the LLC set touched if the access reached the LLC
-	// (level >= 3), else -1.
-	LLCSet int
-}
-
 // Fault is returned when a virtual address has no translation.
 type Fault struct {
 	VA   hw.Addr
@@ -236,35 +221,33 @@ func (f *Fault) Error() string {
 
 // Translate resolves va under pt, consulting the TLB. It returns the
 // physical address and the cycles consumed (0 on a TLB hit; the walk
-// cost on a miss).
-func (c *Core) Translate(asid tlb.ASID, pt *mem.PageTable, va hw.Addr) (pa hw.PAddr, cycles uint64, miss bool, err error) {
+// cost on a miss, including a faulting one).
+func (c *Core) Translate(asid tlb.ASID, pt *mem.PageTable, va hw.Addr) (pa hw.PAddr, cycles uint64, err error) {
 	vpn := hw.VPN(va)
 	if pfn, hit := c.TLB.Lookup(asid, vpn); hit {
-		return hw.FrameBase(pfn) + hw.PAddr(hw.PageOffset(va)), 0, false, nil
+		return hw.FrameBase(pfn) + hw.PAddr(hw.PageOffset(va)), 0, nil
 	}
 	pte, ok := pt.Lookup(vpn)
 	if !ok {
-		return 0, c.un.Lat.PageWalk, true, &Fault{VA: va, ASID: asid}
+		return 0, c.un.Lat.PageWalk, &Fault{VA: va, ASID: asid}
 	}
 	c.TLB.Refill(asid, vpn, pte.PFN, pte.Global)
 	if c.Cov != nil {
 		c.Cov.Touch(cover.ClassTLB, uint64(vpn))
 	}
-	return hw.FrameBase(pte.PFN) + hw.PAddr(hw.PageOffset(va)), c.un.Lat.PageWalk, true, nil
+	return hw.FrameBase(pte.PFN) + hw.PAddr(hw.PageOffset(va)), c.un.Lat.PageWalk, nil
 }
 
 // Access performs one demand access by virtual address, walking the cache
 // hierarchy and charging all latencies, including dirty write-backs and
-// bus queueing. owner attributes cache fills for partition checking.
-func (c *Core) Access(asid tlb.ASID, pt *mem.PageTable, va hw.Addr, kind AccessKind, owner hw.DomainID) (AccessInfo, error) {
-	pa, tcyc, tmiss, err := c.Translate(asid, pt, va)
+// bus queueing. owner attributes cache fills for partition checking. It
+// returns the cycles consumed; a page fault still charges the walk.
+func (c *Core) Access(asid tlb.ASID, pt *mem.PageTable, va hw.Addr, kind AccessKind, owner hw.DomainID) (cycles uint64, err error) {
+	pa, cycles, err := c.Translate(asid, pt, va)
 	if err != nil {
-		return AccessInfo{Cycles: tcyc, TLBMiss: tmiss, LLCSet: -1}, err
+		return cycles, err
 	}
-	info := c.accessPA(va, pa, kind, owner)
-	info.TLBMiss = tmiss
-	info.Cycles += tcyc
-	info.PA = pa
+	cycles += c.accessPA(va, pa, kind, owner)
 
 	// Demand data accesses train the prefetcher; a confirmed stride
 	// triggers a background fill that changes cache state without
@@ -278,16 +261,16 @@ func (c *Core) Access(asid tlb.ASID, pt *mem.PageTable, va hw.Addr, kind AccessK
 			}
 		}
 	}
-	return info, nil
+	return cycles, nil
 }
 
 // accessPA walks L1 -> L2 -> LLC -> memory for an already-translated
-// access. Tags are full physical line numbers so victims can be written
-// back precisely.
-func (c *Core) accessPA(va hw.Addr, pa hw.PAddr, kind AccessKind, owner hw.DomainID) AccessInfo {
-	lat := c.un.Lat
+// access and returns its cycles; the level it bottoms out at (1, 2, 3 for
+// the LLC, 4 for memory) goes only to coverage. Tags are full physical
+// line numbers so victims can be written back precisely.
+func (c *Core) accessPA(va hw.Addr, pa hw.PAddr, kind AccessKind, owner hw.DomainID) uint64 {
+	lat := &c.un.Lat
 	paLine := hw.LineIndex(pa)
-	vaLine := hw.VLineIndex(va)
 	write := kind == DataWrite
 
 	l1 := c.L1D
@@ -295,44 +278,40 @@ func (c *Core) accessPA(va hw.Addr, pa hw.PAddr, kind AccessKind, owner hw.Domai
 		l1 = c.L1I
 	}
 
-	info := AccessInfo{LLCSet: -1}
 	// L1: virtually indexed, physically tagged.
-	l1Set := l1.SetIndex(vaLine)
+	l1Set := l1.SetIndex(hw.VLineIndex(va))
 	res := l1.Access(l1Set, paLine, write, owner)
-	info.Cycles += lat.L1Hit
+	cycles := lat.L1Hit
 	if c.Cov != nil {
 		c.Cov.Touch(cover.ClassL1, uint64(l1Set)|uint64(kind)<<16)
 	}
 	if res.WritebackVictim {
-		info.Cycles += c.writeback(res.VictimTag, res.VictimOwner)
+		cycles += c.writeback(res.VictimTag, res.VictimOwner)
 	}
 	if res.Hit {
-		info.Level = 1
-		c.covLevel(kind, info.Level)
-		return info
+		c.covLevel(kind, 1)
+		return cycles
 	}
 
 	// L2: physically indexed private cache.
 	l2Set := c.L2.SetIndex(paLine)
 	res = c.L2.Access(l2Set, paLine, false, owner)
-	info.Cycles += lat.L2Hit
+	cycles += lat.L2Hit
 	if c.Cov != nil {
 		c.Cov.Touch(cover.ClassL2, uint64(l2Set))
 	}
 	if res.WritebackVictim {
-		info.Cycles += c.writeback(res.VictimTag, res.VictimOwner)
+		cycles += c.writeback(res.VictimTag, res.VictimOwner)
 	}
 	if res.Hit {
-		info.Level = 2
-		c.covLevel(kind, info.Level)
-		return info
+		c.covLevel(kind, 2)
+		return cycles
 	}
 
 	// LLC: physically indexed shared cache.
 	llcSet := c.un.LLC.SetIndex(paLine)
 	res = c.un.LLC.Access(llcSet, paLine, false, owner)
-	info.Cycles += lat.LLCHit
-	info.LLCSet = llcSet
+	cycles += lat.LLCHit
 	if c.Cov != nil {
 		c.Cov.Touch(cover.ClassLLC, uint64(llcSet))
 	}
@@ -341,21 +320,19 @@ func (c *Core) accessPA(va hw.Addr, pa hw.PAddr, kind AccessKind, owner hw.Domai
 		if res.WritebackVictim || dirtyCopies > 0 {
 			// Dirty LLC victim (or a dirtier private copy) goes
 			// to memory over the bus.
-			info.Cycles += c.busAccess(info.Cycles)
+			cycles += c.busAccess(cycles)
 		}
 	}
 	if res.Hit {
-		info.Level = 3
-		c.covLevel(kind, info.Level)
-		return info
+		c.covLevel(kind, 3)
+		return cycles
 	}
 
 	// Memory: bus transfer plus DRAM latency.
-	info.Cycles += c.busAccess(info.Cycles)
-	info.Cycles += lat.Mem
-	info.Level = 4
-	c.covLevel(kind, info.Level)
-	return info
+	cycles += c.busAccess(cycles)
+	cycles += lat.Mem
+	c.covLevel(kind, 4)
+	return cycles
 }
 
 // busAccess performs one bus transfer at the core clock plus offset,

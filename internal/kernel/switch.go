@@ -70,13 +70,13 @@ func (s *System) kaccess(core *cpu.Core, d *Domain, va hw.Addr, kind cpu.AccessK
 }
 
 func (s *System) kaccessOwner(core *cpu.Core, d *Domain, va hw.Addr, kind cpu.AccessKind, owner hw.DomainID) uint64 {
-	info, err := core.Access(d.ASID, d.PT, va, kind, owner)
+	cycles, err := core.Access(d.ASID, d.PT, va, kind, owner)
 	if err != nil {
 		// Kernel mappings are installed at construction; a fault here
 		// is a simulator bug, not a modelled condition.
 		panic(err)
 	}
-	return info.Cycles
+	return cycles
 }
 
 // applyIRQMasks programs the interrupt controller for domain d running on

@@ -549,13 +549,13 @@ func (s *System) execOp(st *cpuState, t *Thread, r request) {
 			kind = cpu.DataWrite
 		}
 		ifetch := s.userFetch(st, t)
-		info, err := coreHW.Access(d.ASID, d.PT, r.addr, kind, d.ID)
-		clk.Advance(ifetch + info.Cycles)
+		cycles, err := coreHW.Access(d.ASID, d.PT, r.addr, kind, d.ID)
+		clk.Advance(ifetch + cycles)
 		if err != nil {
 			respond(response{err: err})
 			return
 		}
-		respond(response{latency: info.Cycles})
+		respond(response{latency: cycles})
 		return
 
 	case opCompute:
@@ -653,11 +653,11 @@ func (s *System) execOp(st *cpuState, t *Thread, r request) {
 // domain's code region.
 func (s *System) userFetch(st *cpuState, t *Thread) uint64 {
 	d := t.Domain
-	info, err := st.lcpu.Core.Access(d.ASID, d.PT, t.pc, cpu.InstrFetch, d.ID)
+	cycles, err := st.lcpu.Core.Access(d.ASID, d.PT, t.pc, cpu.InstrFetch, d.ID)
 	if err != nil {
 		panic(err) // code is always mapped at construction
 	}
 	off := uint64(t.pc-d.CodeBase()) + hw.LineSize
 	t.pc = d.CodeAddr(off)
-	return info.Cycles
+	return cycles
 }

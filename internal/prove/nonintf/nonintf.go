@@ -114,17 +114,13 @@ func loProgram(cfg absmodel.Config, step int) absmodel.Action {
 	}
 }
 
-// RunTrace executes the bounded schedule with the given Hi program
-// (indexed per Hi step, wrapping) and returns Lo's observation trace.
-func RunTrace(m *absmodel.Machine, hi []absmodel.Action) (obs []Observation, overruns int) {
-	return runTraceInto(m, new(absmodel.State), hi, nil)
-}
-
-// runTraceInto is RunTrace over caller-owned storage: it resets s in
-// place and appends Lo's observations to obs[:0], so a checker that runs
-// many programs reuses one state and one trace buffer. The returned
-// trace aliases obs.
-func runTraceInto(m *absmodel.Machine, s *absmodel.State, hi []absmodel.Action, obs []Observation) ([]Observation, int) {
+// RunTraceInto executes the bounded schedule with the given Hi program
+// (indexed per Hi step, wrapping) and returns Lo's observation trace and
+// the number of pad overruns. It runs over caller-owned storage: it
+// resets s in place and appends the observations to obs[:0], so a
+// checker that runs many programs reuses one state and one trace buffer.
+// The returned trace aliases obs.
+func RunTraceInto(m *absmodel.Machine, s *absmodel.State, hi []absmodel.Action, obs []Observation) ([]Observation, int) {
 	cfg := m.Cfg
 	m.ResetInto(s)
 	obs = obs[:0]
@@ -233,11 +229,11 @@ func CheckBounded(cfg absmodel.Config, families int, extraRandom int, baseSeed u
 
 		refProg := progs[0]
 		var ov int
-		ref, ov = runTraceInto(m, &s, refProg, ref)
+		ref, ov = RunTraceInto(m, &s, refProg, ref)
 		v.Runs++
 		v.PadOverruns += ov
 		for _, hi := range progs[1:] {
-			obs, ov = runTraceInto(m, &s, hi, obs)
+			obs, ov = RunTraceInto(m, &s, hi, obs)
 			v.Runs++
 			v.PadOverruns += ov
 			if idx, a, b, diff := FirstDivergence(ref, obs); diff {

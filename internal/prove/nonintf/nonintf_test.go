@@ -147,8 +147,8 @@ func TestRunTraceDeterminism(t *testing.T) {
 	cfg := absmodel.DefaultConfig()
 	m := absmodel.NewMachine(cfg, absmodel.SampleFuncs(5, cfg.DigestMod))
 	hi := []absmodel.Action{1, absmodel.ActSyscall, 0}
-	a, _ := RunTrace(m, hi)
-	b, _ := RunTrace(m, hi)
+	a, _ := RunTraceInto(m, new(absmodel.State), hi, nil)
+	b, _ := RunTraceInto(m, new(absmodel.State), hi, nil)
 	if len(a) == 0 {
 		t.Fatal("no observations")
 	}

@@ -152,14 +152,14 @@ func Minimize(cfg absmodel.Config, c *Counterexample) *Witness {
 	var bufA, bufB []Observation
 	diverges := func(a, b []absmodel.Action) bool {
 		runs += 2
-		bufA, _ = runTraceInto(m, &s, a, bufA)
-		bufB, _ = runTraceInto(m, &s, b, bufB)
+		bufA, _ = RunTraceInto(m, &s, a, bufA)
+		bufB, _ = RunTraceInto(m, &s, b, bufB)
 		_, _, _, d := FirstDivergence(bufA, bufB)
 		return d
 	}
 	a, b, _ := MinimizeWith(c.HiA, c.HiB, diverges)
-	oa, _ := RunTrace(m, a)
-	ob, _ := RunTrace(m, b)
+	oa, _ := RunTraceInto(m, &s, a, bufA)
+	ob, _ := RunTraceInto(m, &s, b, bufB)
 	idx, _, _, _ := FirstDivergence(oa, ob)
 	cut := func(obs []Observation) []Observation {
 		if idx+1 < len(obs) {

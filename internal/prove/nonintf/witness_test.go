@@ -37,8 +37,8 @@ func TestWitnessMinimality(t *testing.T) {
 			w := Minimize(cfg, v.Counterexample)
 			m := absmodel.NewMachine(cfg, absmodel.SampleFuncs(w.FamilySeed, cfg.DigestMod))
 			diverges := func(a, b []absmodel.Action) (int, bool) {
-				oa, _ := RunTrace(m, a)
-				ob, _ := RunTrace(m, b)
+				oa, _ := RunTraceInto(m, new(absmodel.State), a, nil)
+				ob, _ := RunTraceInto(m, new(absmodel.State), b, nil)
 				idx, _, _, d := FirstDivergence(oa, ob)
 				return idx, d
 			}
