@@ -275,11 +275,12 @@ func (c *Cache) FlushAll() (dirty int) {
 	return dirty
 }
 
-// DirtyLines returns the tags of all dirty lines in a deterministic
-// (set-major, way-minor) order. The CPU model stores full line numbers as
-// tags, so the result identifies the lines to write back on a flush.
-func (c *Cache) DirtyLines() []uint64 {
-	var out []uint64
+// AppendDirtyLines appends the tags of all dirty lines to out in a
+// deterministic (set-major, way-minor) order and returns the extended
+// slice. The CPU model stores full line numbers as tags, so the result
+// identifies the lines to write back on a flush; passing a reused
+// buffer keeps the flush allocation-free.
+func (c *Cache) AppendDirtyLines(out []uint64) []uint64 {
 	for set := 0; set < c.cfg.Sets; set++ {
 		base := set * c.cfg.Ways
 		for w := 0; w < c.cfg.Ways; w++ {

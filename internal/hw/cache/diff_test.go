@@ -159,8 +159,8 @@ func TestAccessMatchesReference(t *testing.T) {
 			if c.Stats() != ref.stats {
 				t.Fatalf("seed %d op %d: Stats = %+v, want %+v", seed, op, c.Stats(), ref.stats)
 			}
-			if got, want := c.DirtyLines(), ref.dirtyLines(); !slices.Equal(got, want) {
-				t.Fatalf("seed %d op %d: DirtyLines = %v, want %v", seed, op, got, want)
+			if got, want := c.AppendDirtyLines(nil), ref.dirtyLines(); !slices.Equal(got, want) {
+				t.Fatalf("seed %d op %d: AppendDirtyLines = %v, want %v", seed, op, got, want)
 			}
 			if got, want := c.OccupancyByOwner(), ref.occupancyByOwner(); !maps.Equal(got, want) {
 				t.Fatalf("seed %d op %d: OccupancyByOwner = %v, want %v", seed, op, got, want)

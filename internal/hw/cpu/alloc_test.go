@@ -96,3 +96,26 @@ func dropLine(c *Core, pt *mem.PageTable, va hw.Addr, levels int) {
 		llc.Invalidate(llc.SetIndex(line), line)
 	}
 }
+
+// TestFlushCoreStateAllocFree gates the domain-switch flush: with dirty
+// lines to write back, FlushCoreState must not allocate once its
+// write-back list has grown to size.
+func TestFlushCoreStateAllocFree(t *testing.T) {
+	c, pt, _ := testRig(t)
+	var rep FlushReport
+	dirtyAndFlush := func() {
+		for i := 0; i < 10; i++ {
+			if _, err := c.Access(1, pt, hw.Addr(i*hw.LineSize), DataWrite, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rep = c.FlushCoreState()
+	}
+	dirtyAndFlush()
+	if allocs := testing.AllocsPerRun(50, dirtyAndFlush); allocs != 0 {
+		t.Errorf("FlushCoreState allocates %.1f times per flush, want 0", allocs)
+	}
+	if rep.DirtyL1D != 10 {
+		t.Errorf("flush wrote back %d dirty L1D lines, want 10", rep.DirtyL1D)
+	}
+}

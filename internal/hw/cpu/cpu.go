@@ -124,6 +124,10 @@ type Core struct {
 	// sites are nil-guarded so detached runs pay one branch.
 	Cov *cover.Map
 
+	// dirty is FlushCoreState's reused write-back list, so a domain
+	// switch allocates nothing.
+	dirty []uint64
+
 	un *Uncore
 }
 
@@ -421,11 +425,16 @@ func (c *Core) FlushCoreState() FlushReport {
 	// Write back dirty L1D and L2 contents before invalidating. The
 	// write-backs land in the owning domain's frames, so attribution
 	// follows the physical frame owner and partitioning is preserved.
-	for _, line := range c.L1D.DirtyLines() {
+	// Each list is taken before its write-backs start: a write-back
+	// may evict an LLC line and back-invalidate a listed line, which is
+	// still written back.
+	c.dirty = c.L1D.AppendDirtyLines(c.dirty[:0])
+	for _, line := range c.dirty {
 		c.writeback(line, c.un.Mem.Owner(line/hw.LinesPerPage))
 		rep.DirtyL1D++
 	}
-	for _, line := range c.L2.DirtyLines() {
+	c.dirty = c.L2.AppendDirtyLines(c.dirty[:0])
+	for _, line := range c.dirty {
 		c.writeback(line, c.un.Mem.Owner(line/hw.LinesPerPage))
 		rep.DirtyL2++
 	}

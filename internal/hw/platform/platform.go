@@ -180,6 +180,9 @@ func (m *Machine) Colors() int { return m.Mem.NumColors() }
 type IRQController struct {
 	lines   int
 	pending []bool
+	// npending counts the true entries of pending, so the per-step
+	// interrupt check is O(1) while no line is pending.
+	npending int
 	// raisedAt records when a pending line fired, for latency traces.
 	raisedAt []uint64
 	// masked[core][line]
@@ -221,6 +224,7 @@ func (c *IRQController) Reset() {
 		c.pending[l] = false
 		c.raisedAt[l] = 0
 	}
+	c.npending = 0
 	for i := range c.masked {
 		for l := range c.masked[i] {
 			c.masked[i][l] = true
@@ -239,14 +243,20 @@ func (c *IRQController) Program(line int, fireAt uint64) error {
 	return nil
 }
 
-// Tick raises all device timers that have fired by now.
+// Tick raises all device timers that have fired by now. It returns at
+// once when no timer is armed — the common case on every event-loop
+// step.
 func (c *IRQController) Tick(now uint64) {
+	if len(c.timers) == 0 {
+		return
+	}
 	kept := c.timers[:0]
 	for _, t := range c.timers {
 		if t.fireAt <= now {
 			if !c.pending[t.line] {
 				c.pending[t.line] = true
 				c.raisedAt[t.line] = t.fireAt
+				c.npending++
 			}
 		} else {
 			kept = append(kept, t)
@@ -264,8 +274,12 @@ func (c *IRQController) SetMask(core, line int, masked bool) {
 func (c *IRQController) Masked(core, line int) bool { return c.masked[core][line] }
 
 // PendingUnmasked returns the lowest pending line unmasked on core, or
-// -1. The caller should Tick first.
+// -1. The caller should Tick first. It returns at once when no line is
+// pending.
 func (c *IRQController) PendingUnmasked(core int) int {
+	if c.npending == 0 {
+		return -1
+	}
 	for l := 0; l < c.lines; l++ {
 		if c.pending[l] && !c.masked[core][l] {
 			return l
@@ -281,7 +295,12 @@ func (c *IRQController) Pending(line int) bool { return c.pending[line] }
 func (c *IRQController) RaisedAt(line int) uint64 { return c.raisedAt[line] }
 
 // Ack clears a pending line (end-of-interrupt).
-func (c *IRQController) Ack(line int) { c.pending[line] = false }
+func (c *IRQController) Ack(line int) {
+	if c.pending[line] {
+		c.pending[line] = false
+		c.npending--
+	}
+}
 
 // NextTimerAt returns the earliest programmed timer expiry strictly after
 // now, or 0,false if none. The idle loop uses it to skip quiet time.

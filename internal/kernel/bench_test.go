@@ -22,6 +22,7 @@ const (
 	streamRead streamKind = iota
 	streamCompute
 	streamNow
+	streamYield
 )
 
 // streamProgram issues n operations of one kind — the benchmark
@@ -42,6 +43,8 @@ func (p *streamProgram) Step(m *Machine) Status {
 		return m.ReadHeap(uint64(p.i%256) * hw.LineSize)
 	case streamCompute:
 		return m.Compute(50)
+	case streamYield:
+		return m.Yield()
 	default:
 		return m.Now()
 	}
@@ -49,7 +52,7 @@ func (p *streamProgram) Step(m *Machine) Status {
 
 // streamSystem builds a single-domain uniprocessor that never
 // domain-switches, so the measurement isolates per-operation engine
-// cost.
+// cost. Endpoint 0 carries same-domain IPC streams.
 func streamSystem(b testing.TB, maxOps int) *System {
 	b.Helper()
 	pcfg := platform.DefaultConfig()
@@ -61,6 +64,7 @@ func streamSystem(b testing.TB, maxOps int) *System {
 			{Name: "A", SliceCycles: 1_000_000, PadCycles: 0, Colors: mem.ColorRange(1, 32), CodePages: 2, HeapPages: 16},
 		},
 		Schedule:  [][]int{{0}},
+		Endpoints: []EndpointSpec{{ID: 0}},
 		MaxCycles: uint64(maxOps)*3_000 + 50_000_000,
 	})
 	if err != nil {
@@ -108,10 +112,11 @@ func (p *computeProgram) Step(m *Machine) Status {
 	return m.Compute(400)
 }
 
-// BenchmarkDirectDomainSwitch measures one full domain-switch cycle
-// (two switches: A->B and B->A, including flush and padding) per
-// iteration pair.
-func BenchmarkDirectDomainSwitch(b *testing.B) {
+// switchSystem builds a fully protected two-domain uniprocessor whose
+// threads each run n compute chunks, so every slice ends in a padded,
+// flushing domain switch.
+func switchSystem(b testing.TB, n int) *System {
+	b.Helper()
 	pcfg := platform.DefaultConfig()
 	pcfg.Cores = 1
 	sys, err := NewSystem(SystemConfig{
@@ -122,16 +127,24 @@ func BenchmarkDirectDomainSwitch(b *testing.B) {
 			{Name: "B", SliceCycles: 2_000, PadCycles: 3_000, Colors: mem.ColorRange(32, 64), CodePages: 2, HeapPages: 4},
 		},
 		Schedule:  [][]int{{0, 1}},
-		MaxCycles: uint64(b.N)*20_000 + 10_000_000,
+		MaxCycles: uint64(n)*20_000 + 10_000_000,
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
 	for d, name := range []string{"a", "b"} {
-		if _, err := sys.SpawnProgram(d, name, 0, &computeProgram{n: b.N}); err != nil {
+		if _, err := sys.SpawnProgram(d, name, 0, &computeProgram{n: n}); err != nil {
 			b.Fatal(err)
 		}
 	}
+	return sys
+}
+
+// BenchmarkDirectDomainSwitch measures one full domain-switch cycle
+// (two switches: A->B and B->A, including flush and padding) per
+// iteration pair.
+func BenchmarkDirectDomainSwitch(b *testing.B) {
+	sys := switchSystem(b, b.N)
 	b.ResetTimer()
 	rep, err := sys.Run()
 	b.StopTimer()

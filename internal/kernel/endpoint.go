@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"fmt"
+	"slices"
 
 	"timeprot/internal/trace"
 )
@@ -11,7 +12,9 @@ import (
 type endpoint struct {
 	spec EndpointSpec
 	// sendQ holds senders blocked waiting for a receiver; their
-	// payload and timing context are recorded on the Thread.
+	// payload and timing context are recorded on the Thread. Both
+	// queues pop in place (slices.Delete), keeping their capacity, so
+	// a steady IPC stream allocates nothing.
 	sendQ []*Thread
 	// recvQ holds receivers blocked waiting for a message.
 	recvQ []*Thread
@@ -62,7 +65,7 @@ func (s *System) ipcSend(st *cpuState, t *Thread, ep int, val uint64, now uint64
 	}
 	if len(e.recvQ) > 0 {
 		r := e.recvQ[0]
-		e.recvQ = e.recvQ[1:]
+		e.recvQ = slices.Delete(e.recvQ, 0, 1)
 		// The sender is the currently executing thread and completes
 		// synchronously; only the receiver's wake-up is scheduled.
 		s.completeDelivery(e, t, r, val, now, st.sliceStart)
@@ -87,13 +90,13 @@ func (s *System) ipcRecv(st *cpuState, t *Thread, ep int, now uint64) (done bool
 	t.state = threadBlocked
 	if len(e.sendQ) > 0 {
 		snd := e.sendQ[0]
-		e.sendQ = e.sendQ[1:]
+		e.sendQ = slices.Delete(e.sendQ, 0, 1)
 		s.completeDelivery(e, snd, t, snd.sendPayload, snd.sendTime, snd.sendSliceStart)
 		// The queued sender unblocks: its send completed back when it
 		// was queued; it resumes when its own domain next runs.
 		snd.state = threadReady
 		snd.wakeAt = snd.sendTime
-		snd.pendingResp = &response{}
+		snd.pendingResp, snd.hasPending = response{}, true
 		return false // receiver still waits until its wakeAt
 	}
 	e.recvQ = append(e.recvQ, t)
@@ -131,7 +134,7 @@ func (s *System) completeDelivery(e *endpoint, snd, rcv *Thread, val uint64, sen
 	// Receiver: sees the payload, but not before the delivery time.
 	rcv.state = threadReady
 	rcv.wakeAt = at
-	rcv.pendingResp = &response{val: val}
+	rcv.pendingResp, rcv.hasPending = response{val: val}, true
 }
 
 func (s *System) endpointByID(id int) (*endpoint, error) {

@@ -6,6 +6,7 @@ import (
 
 	"timeprot/internal/core"
 	"timeprot/internal/hw"
+	"timeprot/internal/hw/cpu"
 	"timeprot/internal/hw/mem"
 	"timeprot/internal/hw/platform"
 	"timeprot/internal/trace"
@@ -455,6 +456,23 @@ func TestProgramContractFaults(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestNonProgramPanicPropagates: the event loop's recover faults only a
+// program's own panic; a panic raised outside any Step (here by a
+// switch inspector) is a simulator bug and reaches Run's caller.
+func TestNonProgramPanicPropagates(t *testing.T) {
+	s := uniSys(t, core.FullProtection(), nil)
+	mustSpawn(t, s, 0, "hi", 0, computes(100, 500))
+	mustSpawn(t, s, 1, "lo", 0, computes(100, 500))
+	s.SetSwitchInspector(func(int, *cpu.Core) { panic("inspector") })
+	defer func() {
+		if r := recover(); r != "inspector" {
+			t.Fatalf("recovered %v, want the inspector's panic", r)
+		}
+	}()
+	s.Run()
+	t.Fatal("Run returned despite a panic outside program code")
 }
 
 func TestDeadlockDetected(t *testing.T) {

@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"fmt"
+	"math"
 
 	"timeprot/internal/core"
 	"timeprot/internal/hw"
@@ -99,6 +100,10 @@ type System struct {
 	switches int
 	ops      uint64
 	ran      bool
+
+	// stepping is the thread whose Program.Step is executing, nil
+	// outside user code: the one thread a panic may fault.
+	stepping *Thread
 }
 
 // NewSystem validates the configuration and builds the system: machine,
@@ -296,16 +301,7 @@ func (s *System) Run() (Report, error) {
 	s.live = len(s.threads)
 
 	var rep Report
-	for s.live > 0 {
-		st := s.pickCPU()
-		if st == nil {
-			break
-		}
-		if st.clk().Now() >= s.scfg.MaxCycles {
-			rep.HitMaxCycles = true
-			break
-		}
-		s.step(st)
+	for !s.loop(&rep) {
 	}
 	rep.Deadlocked = s.live > 0 && !rep.HitMaxCycles && s.noRunnableAnywhere()
 
@@ -325,11 +321,54 @@ func (s *System) Run() (Report, error) {
 	return rep, nil
 }
 
+// loop is the event loop. It runs until the workload completes, blocks
+// or hits the cycle cap, and then returns true. A panic in a program's
+// Step unwinds to loop's one deferred handler, which faults the
+// stepping thread and returns false so Run resumes the loop; any other
+// panic is a simulator bug and propagates.
+func (s *System) loop(rep *Report) (finished bool) {
+	defer func() {
+		r := recover()
+		if r == nil {
+			return // a normal return, or runtime.Goexit
+		}
+		t := s.stepping
+		if t == nil {
+			panic(r)
+		}
+		s.stepping = nil
+		s.fault(t, r)
+	}()
+	for s.live > 0 {
+		st, bound := s.pickCPU()
+		if st == nil {
+			break
+		}
+		// Stay on st while pickCPU would pick it again: st is still
+		// live and its clock is strictly below every other live CPU's
+		// clock (on a tie the other, less recently stepped CPU wins).
+		// Stepping st moves no other core's clock, and SMT siblings
+		// share st's clock, so a sibling bounds the stay at one step.
+		for {
+			if st.clk().Now() >= s.scfg.MaxCycles {
+				rep.HitMaxCycles = true
+				return true
+			}
+			s.step(st)
+			if st.done || st.clk().Now() >= bound || !st.anyLive() {
+				break
+			}
+		}
+	}
+	return true
+}
+
 // pickCPU selects the logical CPU to step: the lowest clock among live
 // CPUs, ties broken by least-recently-stepped then index — deterministic,
-// and fair between SMT siblings sharing one clock.
-func (s *System) pickCPU() *cpuState {
-	var best *cpuState
+// and fair between SMT siblings sharing one clock. bound is the lowest
+// clock among the other live CPUs (MaxUint64 when there is none).
+func (s *System) pickCPU() (best *cpuState, bound uint64) {
+	bound = math.MaxUint64
 	for _, st := range s.cpus {
 		if st.done {
 			continue
@@ -344,10 +383,11 @@ func (s *System) pickCPU() *cpuState {
 		}
 		bc, sc := best.clk().Now(), st.clk().Now()
 		if sc < bc || (sc == bc && st.lastSeq < best.lastSeq) {
-			best = st
+			best, sc = st, bc
 		}
+		bound = min(bound, sc)
 	}
-	return best
+	return best, bound
 }
 
 // noRunnableAnywhere reports whether no thread is Ready or Running and no
@@ -415,9 +455,9 @@ func (s *System) step(st *cpuState) {
 			if !t.begun {
 				t.begun = true
 				s.respondAndFetch(t, response{now: clk.Now()})
-			} else if t.pendingResp != nil {
-				r := *t.pendingResp
-				t.pendingResp = nil
+			} else if t.hasPending {
+				r := t.pendingResp
+				t.hasPending = false
 				r.now = clk.Now()
 				s.respondAndFetch(t, r)
 			}
@@ -451,53 +491,43 @@ func (s *System) step(st *cpuState) {
 	// Execute one operation of the current thread. The operation was
 	// fetched (by stepping the program) when the previous response was
 	// delivered.
-	req := st.cur.m.op
 	st.cur.m.issued = false
-	s.execOp(st, st.cur, req)
+	s.execOp(st, st.cur, &st.cur.m.op)
 }
 
 // respondAndFetch delivers a response to t's program and immediately
-// fetches t's next operation by stepping the program inline. A faulted
-// response, a Done status, a broken step contract, or a panic in the
-// program all become a synthetic exit operation, so the thread always
-// makes progress towards opExit; only t's program runs in between — the
-// lockstep that makes user code deterministic.
+// fetches t's next operation by stepping the program inline. A Done
+// status or a broken step contract becomes a synthetic exit operation,
+// as does a panic in the program (through loop's handler), so the
+// thread always makes progress towards opExit; only t's program runs in
+// between — the lockstep that makes user code deterministic. Every
+// caller calls it last, so a panic unwinding out of it skips no kernel
+// work.
 func (s *System) respondAndFetch(t *Thread, resp response) {
-	if resp.err != nil {
-		// A fault kills the program: it cannot observe or recover
-		// from it.
-		t.Err = fmt.Errorf("kernel: thread %s panicked: %v", t.Name, resp.err)
-		t.m.op = request{kind: opExit}
-		t.m.issued = true
-		return
-	}
 	t.m.res = resp
 	t.m.issued = false
-	if st := s.stepProgram(t); st == Done || !t.m.issued {
-		if st == Done && t.m.issued {
-			t.Err = fmt.Errorf("kernel: thread %s panicked: %v", t.Name,
-				"program issued an operation and returned Done")
-		}
-		if st == Running && !t.m.issued && t.Err == nil {
-			t.Err = fmt.Errorf("kernel: thread %s panicked: %v", t.Name,
-				"program returned Running without issuing an operation")
-		}
+	s.stepping = t
+	st := t.prog.Step(&t.m)
+	s.stepping = nil
+	switch {
+	case st == Done && t.m.issued:
+		s.fault(t, "program issued an operation and returned Done")
+	case st == Done:
 		t.m.op = request{kind: opExit}
 		t.m.issued = true
+	case !t.m.issued:
+		s.fault(t, "program returned Running without issuing an operation")
 	}
 }
 
-// stepProgram invokes the program's step function, converting a panic
-// into a thread fault.
-func (s *System) stepProgram(t *Thread) (st Status) {
-	defer func() {
-		if r := recover(); r != nil {
-			t.Err = fmt.Errorf("kernel: thread %s panicked: %v", t.Name, r)
-			t.m.issued = false
-			st = Done
-		}
-	}()
-	return t.prog.Step(&t.m)
+// fault ends t's program: it records why as the thread's error and
+// replaces the pending operation with a synthetic exit. A faulted
+// program is never stepped again, so it can neither observe nor
+// recover from the fault.
+func (s *System) fault(t *Thread, why any) {
+	t.Err = fmt.Errorf("kernel: thread %s panicked: %v", t.Name, why)
+	t.m.op = request{kind: opExit}
+	t.m.issued = true
 }
 
 // switchOrRenew runs the domain-switch protocol, or just renews the slice
@@ -520,8 +550,11 @@ func (s *System) switchOrRenew(st *cpuState) {
 	s.domainSwitch(st)
 }
 
-// execOp performs one thread operation.
-func (s *System) execOp(st *cpuState, t *Thread, r request) {
+// execOp performs one thread operation. An operation that completes
+// delivers its response — and fetches the next operation — last; a
+// faulting one ends the program instead (fault); a blocking one parks
+// the thread until its pendingResp is delivered at the next dispatch.
+func (s *System) execOp(st *cpuState, t *Thread, r *request) {
 	if r.kind != opExit {
 		s.ops++
 	}
@@ -529,11 +562,8 @@ func (s *System) execOp(st *cpuState, t *Thread, r request) {
 	d := t.Domain
 	coreHW := st.lcpu.Core
 	start := clk.Now()
-	respond := func(resp response) {
-		t.Cycles += clk.Now() - start
-		resp.now = clk.Now()
-		s.respondAndFetch(t, resp)
-	}
+	var resp response
+	var err error
 
 	switch r.kind {
 	case opExit:
@@ -549,44 +579,32 @@ func (s *System) execOp(st *cpuState, t *Thread, r request) {
 			kind = cpu.DataWrite
 		}
 		ifetch := s.userFetch(st, t)
-		cycles, err := coreHW.Access(d.ASID, d.PT, r.addr, kind, d.ID)
+		var cycles uint64
+		cycles, err = coreHW.Access(d.ASID, d.PT, r.addr, kind, d.ID)
 		clk.Advance(ifetch + cycles)
-		if err != nil {
-			respond(response{err: err})
-			return
-		}
-		respond(response{latency: cycles})
-		return
+		resp.latency = cycles
 
 	case opCompute:
-		lat := s.userFetch(st, t) + r.n
-		clk.Advance(lat)
-		respond(response{latency: lat})
-		return
+		resp.latency = s.userFetch(st, t) + r.n
+		clk.Advance(resp.latency)
 
 	case opNow:
-		lat := s.userFetch(st, t) + 1
-		clk.Advance(lat)
-		respond(response{latency: lat})
-		return
+		resp.latency = s.userFetch(st, t) + 1
+		clk.Advance(resp.latency)
 
 	case opBranch:
 		ifetch := s.userFetch(st, t)
-		bc, _ := coreHW.Branch(r.addr, r.taken)
-		clk.Advance(ifetch + bc)
-		respond(response{latency: bc})
-		return
+		resp.latency, _ = coreHW.Branch(r.addr, r.taken)
+		clk.Advance(ifetch + resp.latency)
 
 	case opSend:
-		if _, err := s.endpointByID(r.arg); err != nil {
-			respond(response{err: err})
-			return
+		if _, err = s.endpointByID(r.arg); err != nil {
+			break
 		}
 		clk.Advance(s.kernelEnter(st, d, TrapSend))
 		if s.ipcSend(st, t, r.arg, r.n, clk.Now()) {
 			clk.Advance(s.kernelExit(st, d))
-			respond(response{})
-			return
+			break
 		}
 		// Sender blocked in the endpoint queue.
 		t.Cycles += clk.Now() - start
@@ -595,9 +613,8 @@ func (s *System) execOp(st *cpuState, t *Thread, r request) {
 		return
 
 	case opRecv:
-		if _, err := s.endpointByID(r.arg); err != nil {
-			respond(response{err: err})
-			return
+		if _, err = s.endpointByID(r.arg); err != nil {
+			break
 		}
 		clk.Advance(s.kernelEnter(st, d, TrapRecv))
 		s.ipcRecv(st, t, r.arg, clk.Now())
@@ -608,29 +625,23 @@ func (s *System) execOp(st *cpuState, t *Thread, r request) {
 
 	case opStartIO:
 		if !d.ownsIRQ(r.arg) {
-			respond(response{err: fmt.Errorf("kernel: domain %s does not own IRQ line %d", d.Spec.Name, r.arg)})
-			return
+			err = fmt.Errorf("kernel: domain %s does not own IRQ line %d", d.Spec.Name, r.arg)
+			break
 		}
 		clk.Advance(s.kernelEnter(st, d, TrapStartIO))
-		if err := s.machine.IRQ.Program(r.arg, clk.Now()+r.n); err != nil {
-			respond(response{err: err})
-			return
+		if err = s.machine.IRQ.Program(r.arg, clk.Now()+r.n); err != nil {
+			break
 		}
 		clk.Advance(s.kernelExit(st, d))
-		respond(response{})
-		return
 
 	case opEpoch:
-		lat := s.userFetch(st, t) + 1
-		clk.Advance(lat)
-		respond(response{latency: lat, val: st.epochs[d.ID]})
-		return
+		resp.latency = s.userFetch(st, t) + 1
+		resp.val = st.epochs[d.ID]
+		clk.Advance(resp.latency)
 
 	case opNull:
-		cost := s.kernelEnter(st, d, TrapNull) + s.kernelExit(st, d)
-		clk.Advance(cost)
-		respond(response{latency: cost})
-		return
+		resp.latency = s.kernelEnter(st, d, TrapNull) + s.kernelExit(st, d)
+		clk.Advance(resp.latency)
 
 	case opYield:
 		clk.Advance(s.kernelEnter(st, d, TrapYield))
@@ -638,14 +649,22 @@ func (s *System) execOp(st *cpuState, t *Thread, r request) {
 		t.Cycles += clk.Now() - start
 		t.state = threadReady
 		t.wakeAt = 0
-		t.pendingResp = &response{}
+		t.pendingResp, t.hasPending = response{}, true
 		st.cur = nil
 		st.enqueue(t)
 		return
 
 	default:
-		respond(response{err: fmt.Errorf("kernel: unknown op %d", r.kind)})
+		err = fmt.Errorf("kernel: unknown op %d", r.kind)
 	}
+
+	t.Cycles += clk.Now() - start
+	if err != nil {
+		s.fault(t, err)
+		return
+	}
+	resp.now = clk.Now()
+	s.respondAndFetch(t, resp)
 }
 
 // userFetch charges the instruction fetch for one user operation and

@@ -61,7 +61,9 @@ type request struct {
 	taken bool    // branch outcome
 }
 
-// response is the machine's reply: what the thread observes.
+// response is the machine's reply: what the thread observes. It holds
+// no pointers and no error — a faulting operation never produces a
+// response, it ends the program (System.fault).
 type response struct {
 	// latency is the operation's cost in cycles as seen by the thread
 	// (for blocking operations: from request to resumption).
@@ -71,8 +73,6 @@ type response struct {
 	now uint64
 	// val is the received payload (Recv) or other result value.
 	val uint64
-	// err is a fault (e.g. unmapped address).
-	err error
 }
 
 // Thread is a schedulable execution context bound to a domain and a
@@ -95,9 +95,10 @@ type Thread struct {
 	// wakeAt gates a Ready thread: it may not be dispatched before the
 	// core clock reaches wakeAt (deterministic IPC delivery, §3.2).
 	wakeAt uint64
-	// pendingResp, if non-nil, is delivered when the thread is next
-	// dispatched (completion of a blocking operation).
-	pendingResp *response
+	// pendingResp, when hasPending is set, is delivered when the
+	// thread is next dispatched (completion of a blocking operation).
+	pendingResp response
+	hasPending  bool
 	// begun is set when the thread has been dispatched for the first
 	// time; before that its program runs no user code.
 	begun bool
