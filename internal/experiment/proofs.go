@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"timeprot/internal/attacks"
@@ -284,7 +285,10 @@ type ProofCellResult struct {
 // Report reconstructs the full prover report from the flattened cell —
 // identical whether the cell executed or was served from the store.
 func (c ProofCellResult) Report() nonintf.ProofReport {
-	rep := nonintf.ProofReport{Cfg: c.Cfg, Witness: c.Witness}
+	rep := nonintf.ProofReport{
+		Cfg: c.Cfg, Witness: c.Witness,
+		Cases: slices.Grow([]nonintf.CaseReport(nil), len(c.Cases)),
+	}
 	for _, cs := range c.Cases {
 		rep.Cases = append(rep.Cases, nonintf.CaseReport{
 			Name: cs.Name, Holds: cs.Holds, Checked: cs.Checked, Witness: cs.Witness,
@@ -421,7 +425,7 @@ func encodeProofCell(r ProofCellResult) store.ProofV1 {
 
 // decodeProofCell reconstructs a cell result from its stored form.
 func decodeProofCell(c ProofCell, p store.ProofV1) ProofCellResult {
-	res := ProofCellResult{ProofCell: c}
+	res := ProofCellResult{ProofCell: c, Cases: slices.Grow([]ProofCase(nil), len(p.Cases))}
 	for _, cs := range p.Cases {
 		res.Cases = append(res.Cases, ProofCase{
 			Name: cs.Name, Holds: cs.Holds, Checked: cs.Checked, Witness: cs.Witness,
@@ -433,7 +437,11 @@ func decodeProofCell(c ProofCell, p store.ProofV1) ProofCellResult {
 	if sw := p.Witness; sw != nil {
 		w := &nonintf.Witness{
 			FamilySeed: sw.FamilySeed,
+			HiA:        slices.Grow([]absmodel.Action(nil), len(sw.HiA)),
+			HiB:        slices.Grow([]absmodel.Action(nil), len(sw.HiB)),
 			Index:      sw.Index,
+			ObsA:       slices.Grow([]nonintf.Observation(nil), len(sw.ObsA)),
+			ObsB:       slices.Grow([]nonintf.Observation(nil), len(sw.ObsB)),
 			ShrinkRuns: sw.ShrinkRuns,
 		}
 		for _, a := range sw.HiA {

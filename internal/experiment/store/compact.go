@@ -63,6 +63,7 @@ func (p *Packed) compactLocked() error {
 		newSegs  []*packedSeg
 		newIndex = make(map[Key]packedLoc, len(keys))
 		buf      []byte
+		payload  []byte
 	)
 	fail := func(err error) error {
 		for _, sg := range newSegs {
@@ -86,8 +87,8 @@ func (p *Packed) compactLocked() error {
 	}
 	for _, k := range keys {
 		loc := p.index[k]
-		payload, err := p.readPayload(loc)
-		if err != nil {
+		var err error
+		if payload, err = p.readPayload(loc, payload); err != nil {
 			// Unreadable bytes behind a live index entry: the entry is
 			// a miss by contract, so dropping it is the repair.
 			continue

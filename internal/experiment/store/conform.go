@@ -5,8 +5,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"reflect"
-	"strings"
 
 	"timeprot/internal/core"
 	"timeprot/internal/prove/absmodel"
@@ -68,12 +66,7 @@ type ConformSpec struct {
 // Key derives the ConformSpec's content address, using the same
 // canonical field-by-field encoding as Spec.Key under a distinguishing
 // kind prefix.
-func (s ConformSpec) Key() Key {
-	var b strings.Builder
-	b.WriteString("kind=\"conform\"\n")
-	writeCanonical(&b, reflect.ValueOf(s), "")
-	return sha256.Sum256([]byte(b.String()))
-}
+func (s ConformSpec) Key() Key { return canonicalKey("kind=\"conform\"\n", s) }
 
 // ConformChannelV1 is one stored spy observation stream estimate, with
 // every float carried as its IEEE-754 bit pattern for an exact round
@@ -152,28 +145,7 @@ func (s *Store) PutConform(k Key, c ConformV1) error { return putFile(s, k, c, e
 // mismatch, unknown format version — reports a miss.
 func (s *Store) GetConform(k Key) (ConformV1, bool) { return getFile(s, k, decodeConformEntry) }
 
-// decodeConformEntry validates and decodes one conformance entry file.
+// decodeConformEntry validates and decodes one conformance entry's bytes.
 func decodeConformEntry(k Key, data []byte) (ConformV1, error) {
-	var f conformFileV1
-	if err := json.Unmarshal(data, &f); err != nil {
-		return ConformV1{}, fmt.Errorf("store: conformance entry %s: %v", k, err)
-	}
-	if f.Kind != conformKind {
-		return ConformV1{}, fmt.Errorf("store: entry %s is not a conformance entry", k)
-	}
-	if f.V != conformFileVersion {
-		return ConformV1{}, fmt.Errorf("store: conformance entry %s: format version %d, want %d", k, f.V, conformFileVersion)
-	}
-	if f.Key != k.String() {
-		return ConformV1{}, fmt.Errorf("store: conformance entry %s claims key %s", k, f.Key)
-	}
-	sum := sha256.Sum256(f.Conform)
-	if hex.EncodeToString(sum[:]) != f.Sum {
-		return ConformV1{}, fmt.Errorf("store: conformance entry %s: checksum mismatch", k)
-	}
-	var c ConformV1
-	if err := json.Unmarshal(f.Conform, &c); err != nil {
-		return ConformV1{}, fmt.Errorf("store: conformance entry %s payload: %v", k, err)
-	}
-	return c, nil
+	return decodePayload[ConformV1](k, data, conformFileVersion, conformKind, "conform")
 }

@@ -5,8 +5,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"reflect"
-	"strings"
 
 	"timeprot/internal/core"
 	"timeprot/internal/prove/absmodel"
@@ -64,12 +62,7 @@ type DiscoverSpec struct {
 // Key derives the DiscoverSpec's content address, using the same
 // canonical field-by-field encoding as Spec.Key under a distinguishing
 // kind prefix.
-func (s DiscoverSpec) Key() Key {
-	var b strings.Builder
-	b.WriteString("kind=\"discover\"\n")
-	writeCanonical(&b, reflect.ValueOf(s), "")
-	return sha256.Sum256([]byte(b.String()))
-}
+func (s DiscoverSpec) Key() Key { return canonicalKey("kind=\"discover\"\n", s) }
 
 // DiscoverV1 is the stored outcome of one candidate evaluation: the
 // per-stream capacity estimates (floats as IEEE-754 bit patterns, like
@@ -116,28 +109,7 @@ func (s *Store) PutDiscover(k Key, d DiscoverV1) error { return putFile(s, k, d,
 // mismatch, unknown format version — reports a miss.
 func (s *Store) GetDiscover(k Key) (DiscoverV1, bool) { return getFile(s, k, decodeDiscoverEntry) }
 
-// decodeDiscoverEntry validates and decodes one discovery entry file.
+// decodeDiscoverEntry validates and decodes one discovery entry's bytes.
 func decodeDiscoverEntry(k Key, data []byte) (DiscoverV1, error) {
-	var f discoverFileV1
-	if err := json.Unmarshal(data, &f); err != nil {
-		return DiscoverV1{}, fmt.Errorf("store: discovery entry %s: %v", k, err)
-	}
-	if f.Kind != discoverKind {
-		return DiscoverV1{}, fmt.Errorf("store: entry %s is not a discovery entry", k)
-	}
-	if f.V != discoverFileVersion {
-		return DiscoverV1{}, fmt.Errorf("store: discovery entry %s: format version %d, want %d", k, f.V, discoverFileVersion)
-	}
-	if f.Key != k.String() {
-		return DiscoverV1{}, fmt.Errorf("store: discovery entry %s claims key %s", k, f.Key)
-	}
-	sum := sha256.Sum256(f.Discover)
-	if hex.EncodeToString(sum[:]) != f.Sum {
-		return DiscoverV1{}, fmt.Errorf("store: discovery entry %s: checksum mismatch", k)
-	}
-	var d DiscoverV1
-	if err := json.Unmarshal(f.Discover, &d); err != nil {
-		return DiscoverV1{}, fmt.Errorf("store: discovery entry %s payload: %v", k, err)
-	}
-	return d, nil
+	return decodePayload[DiscoverV1](k, data, discoverFileVersion, discoverKind, "discover")
 }

@@ -26,8 +26,10 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"math"
 	"reflect"
-	"strings"
+	"strconv"
+	"sync"
 
 	"timeprot/internal/core"
 	"timeprot/internal/prove/absmodel"
@@ -102,12 +104,7 @@ type ProofSpec struct {
 // Key derives the ProofSpec's content address, using the same canonical
 // field-by-field encoding as Spec.Key under a distinguishing kind
 // prefix.
-func (s ProofSpec) Key() Key {
-	var b strings.Builder
-	b.WriteString("kind=\"proof\"\n")
-	writeCanonical(&b, reflect.ValueOf(s), "")
-	return sha256.Sum256([]byte(b.String()))
-}
+func (s ProofSpec) Key() Key { return canonicalKey("kind=\"proof\"\n", s) }
 
 // Key is a cell's content address: SHA-256 over the Spec's canonical
 // encoding.
@@ -136,23 +133,117 @@ func ParseKey(s string) (Key, error) {
 // byte-identical across processes, and adding a field to either struct
 // automatically changes every encoding (a schema change invalidates the
 // store rather than aliasing old entries).
-func (s Spec) Key() Key {
-	var b strings.Builder
-	writeCanonical(&b, reflect.ValueOf(s), "")
-	return sha256.Sum256([]byte(b.String()))
+func (s Spec) Key() Key { return canonicalKey("", s) }
+
+// scratchBufs recycles the byte buffers of the warm read path — the
+// canonical encoding of key derivation, which runs once per cell of
+// every matrix, and packed-store payload reads.
+var scratchBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// canonicalKey hashes kindLine followed by the canonical encoding of
+// the spec struct v.
+func canonicalKey(kindLine string, v any) Key {
+	bp := scratchBufs.Get().(*[]byte)
+	b := appendCanonical(append((*bp)[:0], kindLine...), reflect.ValueOf(v))
+	k := Key(sha256.Sum256(b))
+	*bp = b
+	scratchBufs.Put(bp)
+	return k
 }
 
-// writeCanonical appends one name=value line per scalar field, quoting
-// values so no field content can forge another field's line.
-func writeCanonical(b *strings.Builder, v reflect.Value, prefix string) {
-	t := v.Type()
+// canonField is one scalar field of a spec type's canonical encoding:
+// where it sits (an index path through embedded structs), the
+// "Outer.Name=" head of its line, and how its value is rendered.
+type canonField struct {
+	index []int
+	head  string
+	// kind selects a strconv rendering; reflect.Invalid renders the
+	// value with fmt.Sprint (slices, Stringers, and any other kind).
+	kind reflect.Kind
+}
+
+// canonPlans caches each spec type's field plan. The plan is derived
+// from the type by reflection, so adding a field to a spec (or to a
+// config it embeds) still changes every encoding.
+var canonPlans sync.Map // reflect.Type → []canonField
+
+var (
+	stringerType  = reflect.TypeOf((*fmt.Stringer)(nil)).Elem()
+	errorType     = reflect.TypeOf((*error)(nil)).Elem()
+	formatterType = reflect.TypeOf((*fmt.Formatter)(nil)).Elem()
+)
+
+// canonPlan returns the spec type's field plan, building it on first
+// use.
+func canonPlan(t reflect.Type) []canonField {
+	if p, ok := canonPlans.Load(t); ok {
+		return p.([]canonField)
+	}
+	p, _ := canonPlans.LoadOrStore(t, buildCanonPlan(t, nil, ""))
+	return p.([]canonField)
+}
+
+// buildCanonPlan lists t's scalar fields in declared order, descending
+// into struct fields under a "Name." prefix.
+func buildCanonPlan(t reflect.Type, index []int, prefix string) []canonField {
+	var plan []canonField
 	for i := 0; i < t.NumField(); i++ {
-		f, fv := t.Field(i), v.Field(i)
+		f := t.Field(i)
+		idx := append(index[:len(index):len(index)], i)
 		name := prefix + f.Name
-		if fv.Kind() == reflect.Struct {
-			writeCanonical(b, fv, name+".")
+		if f.Type.Kind() == reflect.Struct {
+			plan = append(plan, buildCanonPlan(f.Type, idx, name+".")...)
 			continue
 		}
-		fmt.Fprintf(b, "%s=%q\n", name, fmt.Sprint(fv.Interface()))
+		kind := f.Type.Kind()
+		switch {
+		case f.Type.Implements(stringerType), f.Type.Implements(errorType), f.Type.Implements(formatterType):
+			kind = reflect.Invalid // fmt.Sprint would call the method
+		case kind == reflect.String, kind == reflect.Bool, kind == reflect.Float64:
+		case kind >= reflect.Int && kind <= reflect.Int64:
+			kind = reflect.Int
+		case kind >= reflect.Uint && kind <= reflect.Uint64:
+			kind = reflect.Uint
+		default:
+			kind = reflect.Invalid
+		}
+		plan = append(plan, canonField{index: idx, head: name + "=", kind: kind})
 	}
+	return plan
+}
+
+// appendCanonical appends one name="value" line per scalar field of
+// the struct v, quoting values so no field content can forge another
+// field's line. value is exactly what fmt.Sprint prints for the field,
+// and the line exactly what fmt's "%s=%q\n" makes of it; the strconv
+// renderings below produce those bytes without fmt's allocations.
+func appendCanonical(b []byte, v reflect.Value) []byte {
+	for _, f := range canonPlan(v.Type()) {
+		fv := v.FieldByIndex(f.index)
+		b = append(b, f.head...)
+		switch f.kind {
+		case reflect.String:
+			b = strconv.AppendQuote(b, fv.String())
+		case reflect.Bool:
+			b = strconv.AppendBool(append(b, '"'), fv.Bool())
+			b = append(b, '"')
+		case reflect.Int:
+			b = strconv.AppendInt(append(b, '"'), fv.Int(), 10)
+			b = append(b, '"')
+		case reflect.Uint:
+			b = strconv.AppendUint(append(b, '"'), fv.Uint(), 10)
+			b = append(b, '"')
+		case reflect.Float64:
+			if x := fv.Float(); !math.IsInf(x, 0) && !math.IsNaN(x) {
+				b = strconv.AppendFloat(append(b, '"'), x, 'g', -1, 64)
+				b = append(b, '"')
+				break
+			}
+			b = strconv.AppendQuote(b, fmt.Sprint(fv.Interface()))
+		default:
+			b = strconv.AppendQuote(b, fmt.Sprint(fv.Interface()))
+		}
+		b = append(b, '\n')
+	}
+	return b
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -43,7 +44,6 @@ type Packed struct {
 	unsynced int64    // bytes appended since the last fsync
 	dead     int      // superseded records discovered by the open scan
 	appendBf []byte   // record-encoding scratch, reused across Puts
-	readBf   []byte   // payload-read scratch, reused across Gets
 }
 
 // packedSeg is one on-disk segment.
@@ -492,32 +492,44 @@ func (p *Packed) rotateLocked() error {
 	return p.writeManifest()
 }
 
-// readPayload fetches a located record's payload into the shared
-// scratch buffer (callers must copy before releasing the lock if the
-// bytes escape).
-func (p *Packed) readPayload(loc packedLoc) ([]byte, error) {
-	if cap(p.readBf) < int(loc.payloadLen) {
-		p.readBf = make([]byte, loc.payloadLen)
-	}
-	buf := p.readBf[:loc.payloadLen]
+// readPayload reads a located record's payload into buf, reusing its
+// storage when it is large enough. The caller holds p.mu.
+func (p *Packed) readPayload(loc packedLoc, buf []byte) ([]byte, error) {
+	buf = slices.Grow(buf[:0], int(loc.payloadLen))[:loc.payloadLen]
 	if _, err := p.segs[loc.seg].f.ReadAt(buf, loc.payloadOff); err != nil {
-		return nil, err
+		return buf, err
 	}
 	return buf, nil
 }
 
-// getEntry returns the value stored under k when its record has the
-// wanted kind; every failure mode is a miss.
-func getEntry[T any](p *Packed, k Key, kind byte, decode func(Key, []byte) (T, error)) (T, bool) {
+// readRecord looks k up and reads its record's payload into buf, so
+// the caller decodes it after p.mu is released and concurrent Gets
+// decode in parallel. want filters the record kind; anyKind accepts
+// every kind.
+func (p *Packed) readRecord(k Key, want byte, buf []byte) (data []byte, kind byte, ok bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	var zero T
 	loc, ok := p.index[k]
-	if !ok || loc.kind != kind {
-		return zero, false
+	if !ok || (want != anyKind && loc.kind != want) {
+		return buf, 0, false
 	}
-	data, err := p.readPayload(loc)
-	if err != nil {
+	data, err := p.readPayload(loc, buf)
+	return data, loc.kind, err == nil
+}
+
+// anyKind is readRecord's wildcard record kind (no record kind is 0xff).
+const anyKind = 0xff
+
+// getEntry returns the value stored under k when its record has the
+// wanted kind; every failure mode is a miss. The payload is read into
+// a pooled buffer: decoding copies everything it keeps.
+func getEntry[T any](p *Packed, k Key, kind byte, decode func(Key, []byte) (T, error)) (T, bool) {
+	var zero T
+	bp := scratchBufs.Get().(*[]byte)
+	defer scratchBufs.Put(bp)
+	data, _, ok := p.readRecord(k, kind, *bp)
+	*bp = data
+	if !ok {
 		return zero, false
 	}
 	v, err := decode(k, data)
@@ -602,22 +614,14 @@ func (p *Packed) MergeFrom(src string) (added int, err error) {
 // getRaw returns the validated envelope bytes stored under k (a fresh
 // copy, safe to retain).
 func (p *Packed) getRaw(k Key) ([]byte, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	loc, ok := p.index[k]
+	data, kind, ok := p.readRecord(k, anyKind, nil)
 	if !ok {
 		return nil, false
 	}
-	data, err := p.readPayload(loc)
-	if err != nil {
+	if vk, ok := validateEntry(k, data); !ok || vk != kind {
 		return nil, false
 	}
-	if validateEntry(k, data) != nil {
-		return nil, false
-	}
-	out := make([]byte, len(data))
-	copy(out, data)
-	return out, true
+	return data, true
 }
 
 // hasValid reports whether k resolves to a valid entry.
@@ -626,27 +630,16 @@ func (p *Packed) hasValid(k Key) bool {
 	return ok
 }
 
-// putRaw stores pre-encoded envelope bytes under k. The record's kind
-// comes from the envelope's kind tag; its fingerprint tag is left
-// empty — the original fingerprint is unknowable here, and an empty
-// tag is never garbage-collected.
+// putRaw stores envelope bytes under k. The record's kind is the kind
+// the envelope validates as, and bytes valid as no kind are refused.
+// Its fingerprint tag is left empty — the original fingerprint is
+// unknowable here, and an empty tag is never garbage-collected.
 func (p *Packed) putRaw(k Key, data []byte) error {
-	kind, err := entryKind(data)
-	if err != nil {
-		return fmt.Errorf("store: entry %s: %v", k, err)
+	kind, ok := validateEntry(k, data)
+	if !ok {
+		return fmt.Errorf("store: entry %s is not a valid entry of any kind", k)
 	}
-	var rk byte
-	switch kind {
-	case proofKind:
-		rk = recKindProof
-	case conformKind:
-		rk = recKindConform
-	case discoverKind:
-		rk = recKindDiscover
-	default:
-		rk = recKindCell
-	}
-	return p.appendTagged(k, rk, "", data)
+	return p.appendTagged(k, kind, "", data)
 }
 
 // Close syncs the active segment, persists the index sidecar for a

@@ -102,64 +102,7 @@ func (s *Store) PutProof(k Key, p ProofV1) error { return putFile(s, k, p, encod
 // unknown format version — reports a miss.
 func (s *Store) GetProof(k Key) (ProofV1, bool) { return getFile(s, k, decodeProofEntry) }
 
-// decodeProofEntry validates and decodes one proof entry file's bytes.
+// decodeProofEntry validates and decodes one proof entry's bytes.
 func decodeProofEntry(k Key, data []byte) (ProofV1, error) {
-	var f proofFileV1
-	if err := json.Unmarshal(data, &f); err != nil {
-		return ProofV1{}, fmt.Errorf("store: proof entry %s: %v", k, err)
-	}
-	if f.Kind != proofKind {
-		return ProofV1{}, fmt.Errorf("store: entry %s is not a proof entry", k)
-	}
-	if f.V != proofFileVersion {
-		return ProofV1{}, fmt.Errorf("store: proof entry %s: format version %d, want %d", k, f.V, proofFileVersion)
-	}
-	if f.Key != k.String() {
-		return ProofV1{}, fmt.Errorf("store: proof entry %s claims key %s", k, f.Key)
-	}
-	sum := sha256.Sum256(f.Proof)
-	if hex.EncodeToString(sum[:]) != f.Sum {
-		return ProofV1{}, fmt.Errorf("store: proof entry %s: checksum mismatch", k)
-	}
-	var p ProofV1
-	if err := json.Unmarshal(f.Proof, &p); err != nil {
-		return ProofV1{}, fmt.Errorf("store: proof entry %s payload: %v", k, err)
-	}
-	return p, nil
-}
-
-// entryKind sniffs an envelope's kind tag. Cell entries predate the
-// tag and have none, so they report the empty kind; undecodable bytes
-// report an error.
-func entryKind(data []byte) (string, error) {
-	var probe struct {
-		Kind string `json:"kind"`
-	}
-	if err := json.Unmarshal(data, &probe); err != nil {
-		return "", err
-	}
-	return probe.Kind, nil
-}
-
-// validateEntry decodes an entry file of any kind, for the merge path:
-// cell entries (no kind tag), proof, conformance, and discovery entries
-// are all valid merge sources; anything else is corrupt.
-func validateEntry(k Key, data []byte) error {
-	kind, err := entryKind(data)
-	if err != nil {
-		return fmt.Errorf("store: entry %s: %v", k, err)
-	}
-	switch kind {
-	case proofKind:
-		_, err := decodeProofEntry(k, data)
-		return err
-	case conformKind:
-		_, err := decodeConformEntry(k, data)
-		return err
-	case discoverKind:
-		_, err := decodeDiscoverEntry(k, data)
-		return err
-	}
-	_, err = decodeEntry(k, data)
-	return err
+	return decodePayload[ProofV1](k, data, proofFileVersion, proofKind, "proof")
 }

@@ -1,14 +1,18 @@
 package store
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -276,10 +280,14 @@ func syncDir(dir string) error {
 // reports a miss; a corrupt entry is never served as a result.
 func (s *Store) Get(k Key) (attacks.Row, bool) { return getFile(s, k, decodeEntry) }
 
-// getFile reads and decodes k's entry file; every failure is a miss.
+// getFile reads k's entry file into a pooled buffer and decodes it;
+// every failure is a miss. Decoding copies everything it keeps.
 func getFile[T any](s *Store, k Key, decode func(Key, []byte) (T, error)) (T, bool) {
 	var zero T
-	data, err := os.ReadFile(s.path(k))
+	bp := scratchBufs.Get().(*[]byte)
+	defer scratchBufs.Put(bp)
+	data, err := readFileInto((*bp)[:0], s.path(k))
+	*bp = data
 	if err != nil {
 		return zero, false
 	}
@@ -290,28 +298,122 @@ func getFile[T any](s *Store, k Key, decode func(Key, []byte) (T, error)) (T, bo
 	return v, true
 }
 
-// decodeEntry validates and decodes one entry file's bytes against the
-// key it is supposed to hold.
+// readFileInto appends the named file's contents to buf.
+func readFileInto(buf []byte, name string) ([]byte, error) {
+	f, err := os.Open(name)
+	if err != nil {
+		return buf, err
+	}
+	defer f.Close()
+	for {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, 512)
+		}
+		n, err := f.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
+		}
+	}
+}
+
+// decodeEntry validates and decodes one cell entry's bytes against
+// the key it is supposed to hold.
 func decodeEntry(k Key, data []byte) (attacks.Row, error) {
-	var f fileV1
-	if err := json.Unmarshal(data, &f); err != nil {
-		return attacks.Row{}, fmt.Errorf("store: entry %s: %v", k, err)
-	}
-	if f.V != fileVersion {
-		return attacks.Row{}, fmt.Errorf("store: entry %s: format version %d, want %d", k, f.V, fileVersion)
-	}
-	if f.Key != k.String() {
-		return attacks.Row{}, fmt.Errorf("store: entry %s claims key %s", k, f.Key)
-	}
-	sum := sha256.Sum256(f.Cell)
-	if hex.EncodeToString(sum[:]) != f.Sum {
-		return attacks.Row{}, fmt.Errorf("store: entry %s: checksum mismatch", k)
-	}
-	var c cellV1
-	if err := json.Unmarshal(f.Cell, &c); err != nil {
-		return attacks.Row{}, fmt.Errorf("store: entry %s cell: %v", k, err)
+	c, err := decodePayload[cellV1](k, data, fileVersion, "", "cell")
+	if err != nil {
+		return attacks.Row{}, err
 	}
 	return decodeRow(c), nil
+}
+
+// decodePayload opens k's envelope and decodes its payload into a T
+// with one json.Unmarshal.
+func decodePayload[T any](k Key, data []byte, version int, kind, field string) (T, error) {
+	var v T
+	payload, err := openEnvelope(k, data, version, kind, field)
+	if err != nil {
+		return v, err
+	}
+	if err := json.Unmarshal(payload, &v); err != nil {
+		var zero T
+		return zero, fmt.Errorf("store: entry %s %s: %v", k, field, err)
+	}
+	return v, nil
+}
+
+// openEnvelope returns the payload of data when data is exactly the
+// envelope json.Marshal writes for key k,
+//
+//	{"v":N[,"kind":"<kind>"],"key":"<k>","sum":"<sum>","<field>":<payload>}
+//
+// and sum is the lowercase hex SHA-256 of payload. Every entry the
+// encoders write has this form, so anything else — the wrong version,
+// kind or key, a checksum mismatch, but also valid JSON with reordered
+// fields, whitespace or an unknown field — is refused (fails closed).
+// The payload is left for the caller's one json.Unmarshal to check.
+func openEnvelope(k Key, data []byte, version int, kind, field string) ([]byte, error) {
+	var key [2 * sha256.Size]byte
+	hex.Encode(key[:], k[:])
+	rest := data
+	ok := eat(&rest, `{"v":`) && eat(&rest, strconv.Itoa(version))
+	if ok && kind != "" {
+		ok = eat(&rest, `,"kind":"`) && eat(&rest, kind) && eat(&rest, `"`)
+	}
+	ok = ok && eat(&rest, `,"key":"`) && len(rest) >= len(key) && bytes.Equal(rest[:len(key)], key[:])
+	if ok {
+		rest = rest[len(key):]
+		ok = eat(&rest, `","sum":"`) && len(rest) >= len(key)
+	}
+	if !ok {
+		return nil, fmt.Errorf("store: entry %s: not a canonical v%d %q envelope for its key", k, version, kind)
+	}
+	want := rest[:len(key)]
+	rest = rest[len(key):]
+	// The payload is a JSON object, and the envelope's closing brace
+	// follows it directly.
+	if !eat(&rest, `","`) || !eat(&rest, field) || !eat(&rest, `":{`) || len(rest) < 2 || rest[len(rest)-2] != '}' || rest[len(rest)-1] != '}' {
+		return nil, fmt.Errorf("store: entry %s: no %s payload", k, field)
+	}
+	payload := data[len(data)-len(rest)-1 : len(data)-1]
+	var got [2 * sha256.Size]byte
+	sum := sha256.Sum256(payload)
+	hex.Encode(got[:], sum[:])
+	if !bytes.Equal(got[:], want) {
+		return nil, fmt.Errorf("store: entry %s: checksum mismatch", k)
+	}
+	return payload, nil
+}
+
+// eat consumes prefix from the front of *b, reporting whether it was
+// there.
+func eat(b *[]byte, prefix string) bool {
+	if len(*b) < len(prefix) || string((*b)[:len(prefix)]) != prefix {
+		return false
+	}
+	*b = (*b)[len(prefix):]
+	return true
+}
+
+// validateEntry reports whether data is a valid entry of any kind
+// under k, and the record kind it is, for the merge path.
+func validateEntry(k Key, data []byte) (recKind byte, ok bool) {
+	if _, err := decodeEntry(k, data); err == nil {
+		return recKindCell, true
+	}
+	if _, err := decodeProofEntry(k, data); err == nil {
+		return recKindProof, true
+	}
+	if _, err := decodeConformEntry(k, data); err == nil {
+		return recKindConform, true
+	}
+	if _, err := decodeDiscoverEntry(k, data); err == nil {
+		return recKindDiscover, true
+	}
+	return 0, false
 }
 
 // walkEntries calls fn for every well-formed entry filename present.
@@ -385,10 +487,11 @@ func (s *Store) MergeFrom(src string) (added int, err error) {
 // cross-backend merge path.
 func (s *Store) getRaw(k Key) ([]byte, bool) {
 	data, err := os.ReadFile(s.path(k))
-	if err != nil || validateEntry(k, data) != nil {
+	if err != nil {
 		return nil, false
 	}
-	return data, true
+	_, ok := validateEntry(k, data)
+	return data, ok
 }
 
 // hasValid reports whether s holds a valid entry under k. "Present but

@@ -404,8 +404,10 @@ func (c *Core) Branch(pc hw.Addr, taken bool) (cycles uint64, mispredicted bool)
 
 // FlushReport itemises one full flush of the core-local state.
 type FlushReport struct {
-	// DirtyL1D and DirtyL2 count the write-backs performed.
-	DirtyL1D, DirtyL2 int
+	// DirtyL1D counts the write-backs performed. Only the L1D can
+	// hold dirty lines: the L2 is filled clean on every miss and L1D
+	// victims write back straight to the LLC.
+	DirtyL1D int
 	// TLBEntries counts TLB entries dropped.
 	TLBEntries int
 	// Cycles is the total latency: FlushBase plus the per-dirty-line
@@ -415,28 +417,24 @@ type FlushReport struct {
 }
 
 // FlushCoreState resets every flushable resource: both L1s, the private
-// L2, the TLB, the branch predictor and the prefetcher. Dirty lines are
-// written back into the LLC (preserving partition attribution). The
-// returned report carries the history-dependent latency.
+// L2, the TLB, the branch predictor and the prefetcher. Dirty L1D lines
+// are written back into the LLC (preserving partition attribution); the
+// L2 never holds a dirty line. The returned report carries the
+// history-dependent latency.
 func (c *Core) FlushCoreState() FlushReport {
 	var rep FlushReport
 	lat := c.un.Lat
 
-	// Write back dirty L1D and L2 contents before invalidating. The
+	// Write back dirty L1D contents before invalidating. The
 	// write-backs land in the owning domain's frames, so attribution
 	// follows the physical frame owner and partitioning is preserved.
-	// Each list is taken before its write-backs start: a write-back
-	// may evict an LLC line and back-invalidate a listed line, which is
+	// The list is taken before the write-backs start: a write-back may
+	// evict an LLC line and back-invalidate a listed line, which is
 	// still written back.
 	c.dirty = c.L1D.AppendDirtyLines(c.dirty[:0])
 	for _, line := range c.dirty {
 		c.writeback(line, c.un.Mem.Owner(line/hw.LinesPerPage))
 		rep.DirtyL1D++
-	}
-	c.dirty = c.L2.AppendDirtyLines(c.dirty[:0])
-	for _, line := range c.dirty {
-		c.writeback(line, c.un.Mem.Owner(line/hw.LinesPerPage))
-		rep.DirtyL2++
 	}
 	c.L1I.FlushAll()
 	c.L1D.FlushAll()
@@ -446,11 +444,11 @@ func (c *Core) FlushCoreState() FlushReport {
 	if c.PF != nil {
 		c.PF.Flush()
 	}
-	rep.Cycles = lat.FlushBase + uint64(rep.DirtyL1D+rep.DirtyL2)*lat.FlushPerDirtyLine
+	rep.Cycles = lat.FlushBase + uint64(rep.DirtyL1D)*lat.FlushPerDirtyLine
 	if c.Cov != nil {
 		// The dirty-line count is the history-dependent part of flush
 		// latency — the flush-channel signal itself.
-		c.Cov.Touch(cover.ClassFlush, uint64(rep.DirtyL1D+rep.DirtyL2))
+		c.Cov.Touch(cover.ClassFlush, uint64(rep.DirtyL1D))
 	}
 	return rep
 }

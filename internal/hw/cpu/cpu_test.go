@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"errors"
+	"math/rand"
 	"testing"
 
 	"timeprot/internal/hw"
@@ -389,5 +390,39 @@ func TestPrefetcherDisabledConfig(t *testing.T) {
 	}
 	if cycles == hw.DefaultLatency().L1Hit {
 		t.Fatal("unprefetched line cost only an L1 hit")
+	}
+}
+
+// TestL2NeverHoldsDirtyLines: the private L2 is filled clean on every
+// miss and L1D victims write back straight to the LLC, so no access
+// stream leaves a dirty line in the L2 — which is why a flush writes
+// back the L1D only. Random fetch, read and write streams run with
+// interleaved flushes; half of the accesses go to line 0 of 16 pages,
+// which share one 8-way L1D set, so writes there evict dirty lines.
+func TestL2NeverHoldsDirtyLines(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		c, pt, _ := testRig(t)
+		r := rand.New(rand.NewSource(seed))
+		for i := 0; i < 20000; i++ {
+			va := hw.Addr(r.Intn(64 * hw.PageSize))
+			if r.Intn(2) == 0 {
+				va = hw.Addr(r.Intn(16) * hw.PageSize)
+			}
+			kind := AccessKind(r.Intn(3))
+			cycles, err := c.Access(1, pt, va, kind, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.Clock.Advance(cycles)
+			if n := c.L2.DirtyCount(); n != 0 {
+				t.Fatalf("seed %d access %d (%s %#x): L2 holds %d dirty lines", seed, i, kind, uint64(va), n)
+			}
+			if r.Intn(1000) == 0 {
+				c.Clock.Advance(c.FlushCoreState().Cycles)
+			}
+		}
+		if c.L1D.Stats().Writebacks == 0 {
+			t.Fatalf("seed %d: no dirty L1D line was evicted, so the stream tests nothing", seed)
+		}
 	}
 }

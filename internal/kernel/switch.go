@@ -131,7 +131,7 @@ func (s *System) domainSwitch(st *cpuState) {
 		clk.Advance(rep.Cycles)
 		s.log.Append(trace.Event{
 			Kind: trace.Flush, CPU: st.lcpu.Index, Cycle: clk.Now(),
-			From: from.ID, Dirty: rep.DirtyL1D + rep.DirtyL2, Latency: rep.Cycles,
+			From: from.ID, Dirty: rep.DirtyL1D, Latency: rep.Cycles,
 		})
 	}
 	if s.switchInspector != nil {
