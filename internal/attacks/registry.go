@@ -28,6 +28,8 @@ type Variant struct {
 	// variants whose distinguishing knob is not a core.Config field
 	// (e.g. T11's pad budget) it records the base configuration.
 	Prot core.Config
+	// config is Prot.String(), rendered once when the variant is built.
+	config string
 	// run executes the variant at the given rounds and seed, routing
 	// allocations through cc.
 	run func(cc *CellContext, rounds int, seed uint64) Row
@@ -38,8 +40,12 @@ type Variant struct {
 // fuzzer's witness replays). Static-table variants use the package's
 // variant constructor.
 func NewVariant(label string, prot core.Config, run func(cc *CellContext, rounds int, seed uint64) Row) Variant {
-	return Variant{Label: label, Prot: prot, run: run}
+	return Variant{Label: label, Prot: prot, config: prot.String(), run: run}
 }
+
+// Config returns the variant's protection configuration rendered as
+// core.Config.String, without rendering it again.
+func (v Variant) Config() string { return v.config }
 
 // Run executes the variant on a fresh cell context and returns its
 // measured row. Each call constructs a fresh simulated system, so
@@ -262,9 +268,9 @@ func mustScenario(id string) Scenario {
 // variant builds a Variant for a runner with the standard
 // (cc, label, prot, rounds, seed) shape.
 func variant(label string, prot core.Config, run func(*CellContext, string, core.Config, int, uint64) Row) Variant {
-	return Variant{Label: label, Prot: prot, run: func(cc *CellContext, rounds int, seed uint64) Row {
+	return NewVariant(label, prot, func(cc *CellContext, rounds int, seed uint64) Row {
 		return run(cc, label, prot, rounds, seed)
-	}}
+	})
 }
 
 // Derived configurations used by the canonical sweeps.

@@ -1,10 +1,10 @@
 package experiment
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strings"
 
 	"timeprot/internal/attacks"
@@ -37,35 +37,36 @@ type ConformAblation struct {
 	Prot func(*core.Config)
 }
 
-// ConformAblations returns the canonical conformance ablation rows: the
-// proof matrix's single-mechanism rows that the time-multiplexed
-// concrete driver can express. The SMT row is excluded — the concrete
-// conformance run time-shares one core, so SMT co-residency has no
-// concrete counterpart to cross-check against.
-func ConformAblations() []ConformAblation {
-	return []ConformAblation{
-		{"full protection", func(*absmodel.Config) {}, func(*core.Config) {}},
-		{"no flush",
-			func(c *absmodel.Config) { c.Flush = false },
-			func(c *core.Config) { c.FlushOnSwitch = false }},
-		{"no pad",
-			func(c *absmodel.Config) { c.Pad = false },
-			func(c *core.Config) { c.PadSwitch = false }},
-		{"no colour",
-			func(c *absmodel.Config) { c.Color = false },
-			func(c *core.Config) { c.ColorUserMemory = false }},
-		{"shared kernel",
-			func(c *absmodel.Config) { c.Clone = false },
-			func(c *core.Config) { c.CloneKernel = false }},
-		{"no IRQ partition",
-			func(c *absmodel.Config) { c.PartitionIRQ = false },
-			func(c *core.Config) { c.PartitionIRQs = false }},
-	}
+// ConformAblations returns the canonical conformance ablation rows, as
+// a fresh copy: the proof matrix's single-mechanism rows that the
+// time-multiplexed concrete driver can express. The SMT row is
+// excluded — the concrete conformance run time-shares one core, so SMT
+// co-residency has no concrete counterpart to cross-check against.
+func ConformAblations() []ConformAblation { return slices.Clone(conformAblations) }
+
+// conformAblations is the conformance ablation table, built once.
+var conformAblations = []ConformAblation{
+	{"full protection", func(*absmodel.Config) {}, func(*core.Config) {}},
+	{"no flush",
+		func(c *absmodel.Config) { c.Flush = false },
+		func(c *core.Config) { c.FlushOnSwitch = false }},
+	{"no pad",
+		func(c *absmodel.Config) { c.Pad = false },
+		func(c *core.Config) { c.PadSwitch = false }},
+	{"no colour",
+		func(c *absmodel.Config) { c.Color = false },
+		func(c *core.Config) { c.ColorUserMemory = false }},
+	{"shared kernel",
+		func(c *absmodel.Config) { c.Clone = false },
+		func(c *core.Config) { c.CloneKernel = false }},
+	{"no IRQ partition",
+		func(c *absmodel.Config) { c.PartitionIRQ = false },
+		func(c *core.Config) { c.PartitionIRQs = false }},
 }
 
 // conformAblationByName resolves a conformance ablation name.
 func conformAblationByName(name string) (ConformAblation, bool) {
-	for _, a := range ConformAblations() {
+	for _, a := range conformAblations {
 		if a.Name == name {
 			return a, true
 		}
@@ -75,7 +76,7 @@ func conformAblationByName(name string) (ConformAblation, bool) {
 
 func conformAblationNames() []string {
 	var out []string
-	for _, a := range ConformAblations() {
+	for _, a := range conformAblations {
 		out = append(out, a.Name)
 	}
 	return out
@@ -123,7 +124,7 @@ type ConformanceSpec struct {
 func (s ConformanceSpec) normalized() ConformanceSpec {
 	if isAll(s.Models) {
 		s.Models = nil
-		for _, m := range ProofModels() {
+		for _, m := range proofModels {
 			s.Models = append(s.Models, m.Name)
 		}
 	}
@@ -172,7 +173,7 @@ type ConformanceCell struct {
 // contiguous, so reports group naturally.
 func (s ConformanceSpec) Cells() ([]ConformanceCell, error) {
 	spec := s.normalized()
-	var cells []ConformanceCell
+	cells := make([]ConformanceCell, 0, len(spec.Models)*len(spec.Seeds)*spec.Pairs*len(spec.Ablations))
 	for _, mname := range spec.Models {
 		model, ok := proofModelByName(strings.TrimSpace(mname))
 		if !ok {
@@ -462,11 +463,7 @@ func decodeConformCell(cell ConformanceCell, c store.ConformV1) ConformanceCellR
 
 // WriteConformanceJSON serialises the conformance matrix as indented
 // JSON.
-func WriteConformanceJSON(w io.Writer, m *ConformanceMatrix) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(m)
-}
+func WriteConformanceJSON(w io.Writer, m *ConformanceMatrix) error { return writeIndentedJSON(w, m) }
 
 // WriteConformanceText renders the matrix as an aligned text report for
 // the tpconform CLI.

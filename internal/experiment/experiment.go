@@ -203,28 +203,36 @@ func (s Spec) Cells() ([]Cell, error) {
 	if err != nil {
 		return nil, err
 	}
-	varFilter := make(map[string]bool)
-	for _, v := range spec.Variants {
-		varFilter[v] = true
+	var varFilter, matched map[string]bool
+	if len(spec.Variants) > 0 {
+		varFilter, matched = make(map[string]bool), make(map[string]bool)
+		for _, v := range spec.Variants {
+			varFilter[v] = true
+		}
 	}
-	matched := make(map[string]bool)
-	var cells []Cell
+	n := 0
+	for _, sc := range scens {
+		n += len(sc.Variants)
+	}
+	cells := make([]Cell, 0, n*len(spec.Seeds)*spec.Trials)
 	for _, sc := range scens {
 		rounds := sc.Rounds(spec.Rounds)
 		for _, base := range spec.Seeds {
 			for trial := 0; trial < spec.Trials; trial++ {
 				for _, v := range sc.Variants {
-					if len(varFilter) > 0 && !varFilter[v.Label] {
-						continue
+					if varFilter != nil {
+						if !varFilter[v.Label] {
+							continue
+						}
+						matched[v.Label] = true
 					}
-					matched[v.Label] = true
 					c := Cell{
 						Index:        len(cells),
 						ScenarioID:   sc.ID,
 						ScenarioName: sc.Name,
 						Title:        sc.Title,
 						Variant:      v.Label,
-						Config:       v.Prot.String(),
+						Config:       v.Config(),
 						BaseSeed:     base,
 						Trial:        trial,
 						Seed:         trialSeed(base, trial),

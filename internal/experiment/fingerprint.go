@@ -1,8 +1,6 @@
 package experiment
 
 import (
-	"strings"
-
 	"timeprot/internal/attacks"
 	"timeprot/internal/channel"
 	"timeprot/internal/conform"
@@ -23,12 +21,10 @@ import (
 // results computed by a different model — the cheap re-verification
 // loop the paper's proof-maintenance argument needs.
 func Fingerprint() string {
-	return strings.Join([]string{
-		hw.ModelVersion,
-		kernel.ModelVersion,
-		channel.EstimatorVersion,
-		attacks.HarnessVersion,
-	}, "|")
+	return hw.ModelVersion + "|" +
+		kernel.ModelVersion + "|" +
+		channel.EstimatorVersion + "|" +
+		attacks.HarnessVersion
 }
 
 // ProverFingerprint returns the prover fingerprint: the registered
@@ -39,11 +35,9 @@ func Fingerprint() string {
 // measured cells: bump any prover layer's version and every cached
 // proof becomes a structural miss.
 func ProverFingerprint() string {
-	return strings.Join([]string{
-		absmodel.ModelVersion,
-		nonintf.ModelVersion,
-		invariant.ModelVersion,
-	}, "|")
+	return absmodel.ModelVersion + "|" +
+		nonintf.ModelVersion + "|" +
+		invariant.ModelVersion
 }
 
 // ConformFingerprint returns the conformance fingerprint: the
@@ -53,15 +47,13 @@ func ProverFingerprint() string {
 // every cached conformance cell into a structural miss, so CI
 // re-certifies abstraction soundness cold exactly when a model changed.
 func ConformFingerprint() string {
-	return strings.Join([]string{
-		absmodel.ModelVersion,
-		nonintf.ModelVersion,
-		hw.ModelVersion,
-		kernel.ModelVersion,
-		channel.EstimatorVersion,
-		attacks.HarnessVersion,
-		conform.HarnessVersion,
-	}, "|")
+	return absmodel.ModelVersion + "|" +
+		nonintf.ModelVersion + "|" +
+		hw.ModelVersion + "|" +
+		kernel.ModelVersion + "|" +
+		channel.EstimatorVersion + "|" +
+		attacks.HarnessVersion + "|" +
+		conform.HarnessVersion
 }
 
 // ConformKey derives the store key for one conformance cell.

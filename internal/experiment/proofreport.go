@@ -1,7 +1,7 @@
 package experiment
 
 import (
-	"encoding/json"
+	"bytes"
 	"fmt"
 	"io"
 	"strings"
@@ -17,11 +17,7 @@ import (
 // fail on any drift.
 
 // WriteProofsJSON serialises the proof matrix as indented JSON.
-func WriteProofsJSON(w io.Writer, m *ProofMatrix) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(m)
-}
+func WriteProofsJSON(w io.Writer, m *ProofMatrix) error { return writeIndentedJSON(w, m) }
 
 // proofGroup is one contiguous (model, families, seed) run of proof
 // cells — one table of PROOFS.md.
@@ -89,7 +85,7 @@ func proofConfigLine(c ProofCellResult) string {
 }
 
 // writeProofTable emits one group's verdict table (the T1 shape).
-func writeProofTable(b *strings.Builder, cells []ProofCellResult) {
+func writeProofTable(b *bytes.Buffer, cells []ProofCellResult) {
 	var caseNames []string
 	for _, c := range cells {
 		if c.Err == "" {
@@ -139,7 +135,7 @@ func writeProofTable(b *strings.Builder, cells []ProofCellResult) {
 
 // writeWitness emits one refuted cell's evidence: the minimal Hi pair,
 // the diverging Lo traces, and any failed lemma witnesses.
-func writeWitness(b *strings.Builder, c ProofCellResult) {
+func writeWitness(b *bytes.Buffer, c ProofCellResult) {
 	fmt.Fprintf(b, "#### %s\n\n", c.Ablation)
 	if w := c.Witness; w != nil {
 		fmt.Fprintf(b, "Minimal divergent Hi program pair (family seed %d, shrunk in %d machine runs):\n\n",
@@ -185,8 +181,12 @@ func writeWitness(b *strings.Builder, c ProofCellResult) {
 // (model, families, seed) group, and the counterexample witnesses
 // behind every refuted row.
 func WriteProofsMarkdown(w io.Writer, m *ProofMatrix) error {
-	var b strings.Builder
+	b := renderBuf()
+	writeProofsMarkdown(b, m)
+	return writeRendered(w, b)
+}
 
+func writeProofsMarkdown(b *bytes.Buffer, m *ProofMatrix) {
 	b.WriteString("# PROOFS — machine-checking time protection (§5)\n\n")
 	b.WriteString("The proof side of *\"Can We Prove Time Protection?\"* (Heiser, Klein,\n")
 	b.WriteString("Murray — HotOS 2019), reproduced as experiment T1 and extended to a\n")
@@ -195,8 +195,8 @@ func WriteProofsMarkdown(w io.Writer, m *ProofMatrix) error {
 	b.WriteString("families.\n\n")
 	b.WriteString("This file is generated by the proof-matrix engine's Markdown\n")
 	b.WriteString("reporter — do not edit the tables by hand. Regenerate with:\n\n")
-	fmt.Fprintf(&b, "```sh\n%s\n```\n\n", m.RegenCommand())
-	fmt.Fprintf(&b, "Prover fingerprint: `%s`.\n", ProverFingerprint())
+	fmt.Fprintf(b, "```sh\n%s\n```\n\n", m.RegenCommand())
+	fmt.Fprintf(b, "Prover fingerprint: `%s`.\n", ProverFingerprint())
 	b.WriteString("Proof cells are cached in the content-addressed sweep store under\n")
 	b.WriteString("this fingerprint: any semantic change to a prover layer bumps its\n")
 	b.WriteString("model version, which re-keys — and forces re-proving of — every\n")
@@ -217,22 +217,21 @@ func WriteProofsMarkdown(w io.Writer, m *ProofMatrix) error {
 		if mv, ok := proofModelByName(first.Model); ok {
 			title = fmt.Sprintf("`%s` — %s", mv.Name, mv.Title)
 		}
-		fmt.Fprintf(&b, "\n## Model %s (families=%d, seed=%d)\n\n", title, first.Families, first.Seed)
-		fmt.Fprintf(&b, "Configuration: %s. Extra random Hi programs per cell: %d.\n\n",
+		fmt.Fprintf(b, "\n## Model %s (families=%d, seed=%d)\n\n", title, first.Families, first.Seed)
+		fmt.Fprintf(b, "Configuration: %s. Extra random Hi programs per cell: %d.\n\n",
 			proofConfigLine(first), first.Random)
-		writeProofTable(&b, m.Cells[g.start:g.end])
+		writeProofTable(b, m.Cells[g.start:g.end])
 
-		var refuted []ProofCellResult
+		witnesses := false
 		for _, c := range m.Cells[g.start:g.end] {
-			if c.Err == "" && !c.Proved {
-				refuted = append(refuted, c)
+			if c.Err != "" || c.Proved {
+				continue
 			}
-		}
-		if len(refuted) > 0 {
-			fmt.Fprintf(&b, "\n### Witnesses — model `%s`, families=%d, seed=%d\n\n", first.Model, first.Families, first.Seed)
-			for _, c := range refuted {
-				writeWitness(&b, c)
+			if !witnesses {
+				fmt.Fprintf(b, "\n### Witnesses — model `%s`, families=%d, seed=%d\n\n", first.Model, first.Families, first.Seed)
+				witnesses = true
 			}
+			writeWitness(b, c)
 		}
 	}
 
@@ -246,9 +245,6 @@ func WriteProofsMarkdown(w io.Writer, m *ProofMatrix) error {
 	b.WriteString("differs — a timing channel. EXPERIMENTS.md holds the measured\n")
 	b.WriteString("(empirical) side of the same matrix; DESIGN.md \"Layer 4\" documents\n")
 	b.WriteString("the prover architecture and the cell keying discipline.\n")
-
-	_, err := io.WriteString(w, b.String())
-	return err
 }
 
 // WriteProofsText renders the matrix as the tpprove stdout format: one

@@ -30,19 +30,20 @@ type ProofAblation struct {
 	Apply func(*absmodel.Config)
 }
 
-// ProofAblations returns the canonical T1 ablation rows in presentation
-// order.
-func ProofAblations() []ProofAblation {
-	return []ProofAblation{
-		{"full protection", func(*absmodel.Config) {}},
-		{"no flush", func(c *absmodel.Config) { c.Flush = false }},
-		{"no pad", func(c *absmodel.Config) { c.Pad = false }},
-		{"no colour", func(c *absmodel.Config) { c.Color = false }},
-		{"shared kernel", func(c *absmodel.Config) { c.Clone = false }},
-		{"no IRQ partition", func(c *absmodel.Config) { c.PartitionIRQ = false }},
-		{"SMT co-residency", func(c *absmodel.Config) { c.SMT = true }},
-	}
+// proofAblations is the canonical T1 ablation table, built once.
+var proofAblations = []ProofAblation{
+	{"full protection", func(*absmodel.Config) {}},
+	{"no flush", func(c *absmodel.Config) { c.Flush = false }},
+	{"no pad", func(c *absmodel.Config) { c.Pad = false }},
+	{"no colour", func(c *absmodel.Config) { c.Color = false }},
+	{"shared kernel", func(c *absmodel.Config) { c.Clone = false }},
+	{"no IRQ partition", func(c *absmodel.Config) { c.PartitionIRQ = false }},
+	{"SMT co-residency", func(c *absmodel.Config) { c.SMT = true }},
 }
+
+// ProofAblations returns the canonical T1 ablation rows in presentation
+// order, as a fresh copy.
+func ProofAblations() []ProofAblation { return slices.Clone(proofAblations) }
 
 // ProofModel is one abstract-model platform variant the matrix proves
 // over: the §5.1 model at a different instantiation point, so each
@@ -57,10 +58,16 @@ type ProofModel struct {
 	Cfg absmodel.Config
 }
 
+// proofModels is the registered model-variant table, built once.
+var proofModels = buildProofModels()
+
 // ProofModels returns the registered model variants in presentation
-// order. Every variant must prove under full protection and refute
-// under every ablation; the proof-matrix tests pin this.
-func ProofModels() []ProofModel {
+// order, as a fresh copy. Every variant must prove under full
+// protection and refute under every ablation; the proof-matrix tests
+// pin this.
+func ProofModels() []ProofModel { return slices.Clone(proofModels) }
+
+func buildProofModels() []ProofModel {
 	base := absmodel.DefaultConfig()
 
 	wide := absmodel.DefaultConfig()
@@ -79,7 +86,7 @@ func ProofModels() []ProofModel {
 
 // proofModelByName resolves a model variant name.
 func proofModelByName(name string) (ProofModel, bool) {
-	for _, m := range ProofModels() {
+	for _, m := range proofModels {
 		if m.Name == name {
 			return m, true
 		}
@@ -89,7 +96,7 @@ func proofModelByName(name string) (ProofModel, bool) {
 
 // proofAblationByName resolves an ablation name.
 func proofAblationByName(name string) (ProofAblation, bool) {
-	for _, a := range ProofAblations() {
+	for _, a := range proofAblations {
 		if a.Name == name {
 			return a, true
 		}
@@ -136,13 +143,13 @@ type ProofSpec struct {
 func (s ProofSpec) normalized() ProofSpec {
 	if isAll(s.Ablations) {
 		s.Ablations = nil
-		for _, a := range ProofAblations() {
+		for _, a := range proofAblations {
 			s.Ablations = append(s.Ablations, a.Name)
 		}
 	}
 	if isAll(s.Models) {
 		s.Models = nil
-		for _, m := range ProofModels() {
+		for _, m := range proofModels {
 			s.Models = append(s.Models, m.Name)
 		}
 	}
@@ -194,7 +201,7 @@ type ProofCell struct {
 // reporters' per-table grouping.
 func (s ProofSpec) Cells() ([]ProofCell, error) {
 	spec := s.normalized()
-	var cells []ProofCell
+	cells := make([]ProofCell, 0, len(spec.Models)*len(spec.Families)*len(spec.Seeds)*len(spec.Ablations))
 	for _, mname := range spec.Models {
 		model, ok := proofModelByName(strings.TrimSpace(mname))
 		if !ok {
@@ -232,7 +239,7 @@ func (s ProofSpec) Cells() ([]ProofCell, error) {
 
 func proofModelNames() []string {
 	var out []string
-	for _, m := range ProofModels() {
+	for _, m := range proofModels {
 		out = append(out, m.Name)
 	}
 	return out
@@ -240,7 +247,7 @@ func proofModelNames() []string {
 
 func proofAblationNames() []string {
 	var out []string
-	for _, a := range ProofAblations() {
+	for _, a := range proofAblations {
 		out = append(out, a.Name)
 	}
 	return out
@@ -488,7 +495,7 @@ type ProofResult struct {
 // every ablation over the base model at the sweep's sampling point.
 func sweepProofSpec(families, extraRandom int, seed uint64) ProofSpec {
 	return ProofSpec{
-		Models:   []string{ProofModels()[0].Name},
+		Models:   []string{proofModels[0].Name},
 		Families: []int{families},
 		Random:   extraRandom,
 		Seeds:    []uint64{seed},

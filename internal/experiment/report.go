@@ -1,20 +1,83 @@
 package experiment
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"strings"
+	"sync/atomic"
 
 	"timeprot/internal/attacks"
 )
 
 // WriteJSON serialises the report as indented, machine-readable JSON.
 // The byte stream is a pure function of the spec.
-func WriteJSON(w io.Writer, r *Report) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
+func WriteJSON(w io.Writer, r *Report) error { return writeIndentedJSON(w, r) }
+
+// Reports are built into a reused buffer and written with one Write.
+// Each reusable value sits in a one-slot cache rather than a
+// sync.Pool: a pool keeps a copy for every P that has rendered, each
+// one live heap, while renders rarely overlap. An overlapping render
+// builds a fresh value, and one grown past maxSpareBytes by an unusually
+// large report is not kept.
+const maxSpareBytes = 1 << 20
+
+var (
+	spareBuf atomic.Pointer[bytes.Buffer]
+	spareEnc atomic.Pointer[indentEncoder]
+)
+
+// renderBuf returns an empty buffer to build a report in.
+func renderBuf() *bytes.Buffer {
+	if b := spareBuf.Swap(nil); b != nil {
+		b.Reset()
+		return b
+	}
+	return new(bytes.Buffer)
+}
+
+// writeRendered writes the report built in b to w and keeps b for the
+// next report.
+func writeRendered(w io.Writer, b *bytes.Buffer) error {
+	_, err := w.Write(b.Bytes())
+	if b.Cap() <= maxSpareBytes {
+		spareBuf.Store(b)
+	}
+	return err
+}
+
+// indentEncoder is a json.Encoder with a two-space indent that writes
+// to whichever writer it is handed. A reused encoder keeps the buffer
+// it indents into, so a report is marshalled and indented into that
+// one buffer and written with one Write.
+type indentEncoder struct {
+	w   io.Writer
+	n   int // length of the last write: the indent buffer in use
+	enc *json.Encoder
+}
+
+func (e *indentEncoder) Write(p []byte) (int, error) {
+	e.n = len(p)
+	return e.w.Write(p)
+}
+
+// writeIndentedJSON writes v to w as indented JSON. An encoder whose
+// write failed keeps the error, so it is not reused.
+func writeIndentedJSON(w io.Writer, v any) error {
+	e := spareEnc.Swap(nil)
+	if e == nil {
+		e = new(indentEncoder)
+		e.enc = json.NewEncoder(e)
+		e.enc.SetIndent("", "  ")
+	}
+	e.w = w
+	err := e.enc.Encode(v)
+	e.w = nil
+	if err == nil && e.n <= maxSpareBytes {
+		spareEnc.Store(e)
+	}
+	return err
 }
 
 // sameGroup reports whether two cells belong to the same finalisation
@@ -115,20 +178,24 @@ func extraString(extra []attacks.KV, sep string) string {
 // regeneration command, aISA contract, the T1 proof matrix (when run),
 // and one attack × mitigation table per scenario.
 func WriteMarkdown(w io.Writer, r *Report) error {
-	var b strings.Builder
+	b := renderBuf()
+	writeMarkdown(b, r)
+	return writeRendered(w, b)
+}
 
+func writeMarkdown(b *bytes.Buffer, r *Report) {
 	b.WriteString("# EXPERIMENTS — reproduced results\n\n")
 	b.WriteString("Reproduction of the evaluation of *\"Can We Prove Time Protection?\"*\n")
 	b.WriteString("(Heiser, Klein, Murray — HotOS 2019) on the simulated platform.\n\n")
 	b.WriteString("This file is generated by the sweep engine's Markdown reporter —\n")
 	b.WriteString("do not edit the tables by hand. Regenerate with:\n\n")
-	fmt.Fprintf(&b, "```sh\n%s\n```\n\n", r.RegenCommand())
-	fmt.Fprintf(&b, "Sweep parameters: rounds=%d, seeds=%v, trials=%d. A row **leaks** when\n",
+	fmt.Fprintf(b, "```sh\n%s\n```\n\n", r.RegenCommand())
+	fmt.Fprintf(b, "Sweep parameters: rounds=%d, seeds=%v, trials=%d. A row **leaks** when\n",
 		r.Spec.Rounds, r.Spec.Seeds, maxInt(r.Spec.Trials, 1))
-	fmt.Fprintf(&b, "its measured capacity exceeds the shuffled-label noise floor by more\nthan %.2f bits per use. ", attacks.LeakMargin)
+	fmt.Fprintf(b, "its measured capacity exceeds the shuffled-label noise floor by more\nthan %.2f bits per use. ", attacks.LeakMargin)
 	b.WriteString("The CI column is the 95% bootstrap confidence\ninterval on the capacity; rounds is the effective rounds behind the\nestimate.\n\n")
 	if r.Spec.CIHalfWidth > 0 {
-		fmt.Fprintf(&b, "Adaptive sampling is armed: each cell climbed a doubling rounds\nladder and stopped once its capacity CI half-width fell to %g bits\n(cap: %d requested rounds).\n\n",
+		fmt.Fprintf(b, "Adaptive sampling is armed: each cell climbed a doubling rounds\nladder and stopped once its capacity CI half-width fell to %g bits\n(cap: %d requested rounds).\n\n",
 			r.Spec.CIHalfWidth, r.Spec.MaxRounds)
 	}
 
@@ -139,18 +206,18 @@ func WriteMarkdown(w io.Writer, r *Report) error {
 		if !it.Satisfied {
 			verdict = "FAIL"
 		}
-		fmt.Fprintf(&b, "| %s | %s | %s |\n", it.Name, verdict, it.Detail)
+		fmt.Fprintf(b, "| %s | %s | %s |\n", it.Name, verdict, it.Detail)
 	}
 	b.WriteString("\n")
 
 	if len(r.Proofs) > 0 {
 		b.WriteString("## T1 — proving time protection over the abstract model (§5)\n\n")
-		fmt.Fprintf(&b, "Unwinding-lemma case analysis plus bounded noninterference over\nsampled time-function families (families=%d, extra random programs=%d).\n",
+		fmt.Fprintf(b, "Unwinding-lemma case analysis plus bounded noninterference over\nsampled time-function families (families=%d, extra random programs=%d).\n",
 			r.Spec.ProofFamilies, r.Spec.ProofRandom)
 		b.WriteString("The full proof matrix — every ablation over every abstract-model\nvariant, with the minimal counterexample witness behind each refuted\nrow — is generated into [PROOFS.md](PROOFS.md) from the same committed\nstore.\n\n")
 		b.WriteString("| configuration |")
 		for _, c := range r.Proofs[0].Cases {
-			fmt.Fprintf(&b, " %s |", c.Name)
+			fmt.Fprintf(b, " %s |", c.Name)
 		}
 		b.WriteString(" bounded-NI | pad overruns | result |\n|---|")
 		for range r.Proofs[0].Cases {
@@ -158,13 +225,13 @@ func WriteMarkdown(w io.Writer, r *Report) error {
 		}
 		b.WriteString("---|---|---|\n")
 		for _, p := range r.Proofs {
-			fmt.Fprintf(&b, "| %s |", p.Name)
+			fmt.Fprintf(b, "| %s |", p.Name)
 			for _, c := range p.Cases {
 				v := "holds"
 				if !c.Holds {
 					v = "**fails**"
 				}
-				fmt.Fprintf(&b, " %s (%d) |", v, c.Checked)
+				fmt.Fprintf(b, " %s (%d) |", v, c.Checked)
 			}
 			bni := "agree"
 			if !p.BoundedProved {
@@ -174,7 +241,7 @@ func WriteMarkdown(w io.Writer, r *Report) error {
 			if !p.Proved {
 				result = "refuted"
 			}
-			fmt.Fprintf(&b, " %s (%d runs) | %d | %s |\n", bni, p.BoundedRuns, p.PadOverruns, result)
+			fmt.Fprintf(b, " %s (%d runs) | %d | %s |\n", bni, p.BoundedRuns, p.PadOverruns, result)
 		}
 		b.WriteString("\n")
 	}
@@ -188,7 +255,7 @@ func WriteMarkdown(w io.Writer, r *Report) error {
 				b.WriteString("\n")
 			}
 			lastScenario = first.ScenarioID
-			fmt.Fprintf(&b, "## %s — %s\n\n", first.ScenarioID, first.Title)
+			fmt.Fprintf(b, "## %s — %s\n\n", first.ScenarioID, first.Title)
 			b.WriteString("| configuration |")
 			if multiSeed {
 				b.WriteString(" seed |")
@@ -202,11 +269,11 @@ func WriteMarkdown(w io.Writer, r *Report) error {
 		}
 		for _, c := range r.Cells[g.start:g.end] {
 			if c.Err != "" {
-				fmt.Fprintf(&b, "| %s |", c.Variant)
+				fmt.Fprintf(b, "| %s |", c.Variant)
 				if multiSeed {
-					fmt.Fprintf(&b, " %d |", c.Seed)
+					fmt.Fprintf(b, " %d |", c.Seed)
 				}
-				fmt.Fprintf(&b, " error | | | | | | %s |\n", c.Err)
+				fmt.Fprintf(b, " error | | | | | | %s |\n", c.Err)
 				continue
 			}
 			errRate := "—"
@@ -217,11 +284,11 @@ func WriteMarkdown(w io.Writer, r *Report) error {
 			if c.Leaks {
 				leaks = "**YES**"
 			}
-			fmt.Fprintf(&b, "| %s |", c.Variant)
+			fmt.Fprintf(b, "| %s |", c.Variant)
 			if multiSeed {
-				fmt.Fprintf(&b, " %d |", c.Seed)
+				fmt.Fprintf(b, " %d |", c.Seed)
 			}
-			fmt.Fprintf(&b, " %.4f | [%.4f, %.4f] | %.4f | %s | %d | %s | %s |\n",
+			fmt.Fprintf(b, " %.4f | [%.4f, %.4f] | %.4f | %s | %d | %s | %s |\n",
 				c.CapacityBits, c.CILow, c.CIHigh, c.FloorBits, errRate, c.EffRounds, leaks, extraString(c.Extra, ", "))
 		}
 	}
@@ -239,9 +306,6 @@ func WriteMarkdown(w io.Writer, r *Report) error {
 	b.WriteString("(`-ci`), `rounds` shows where each cell's ladder converged. See\n")
 	b.WriteString("DESIGN.md for the scenario implementations and internal/experiment\n")
 	b.WriteString("for the sweep engine that produced this file.\n")
-
-	_, err := io.WriteString(w, b.String())
-	return err
 }
 
 // WriteText renders the report as aligned text tables (the tpbench

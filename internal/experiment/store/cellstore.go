@@ -1,10 +1,11 @@
 package store
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 
 	"timeprot/internal/attacks"
 )
@@ -163,7 +164,8 @@ func openMergeSource(srcDir string) (rawStore, func(), error) {
 }
 
 // sortKeys sorts a key slice in the canonical (hex-string) order every
-// backend's Keys() promises.
+// backend's Keys() promises. Lowercase hex preserves byte order, so the
+// raw bytes are compared without rendering either key.
 func sortKeys(keys []Key) {
-	sort.Slice(keys, func(i, j int) bool { return keys[i].String() < keys[j].String() })
+	slices.SortFunc(keys, func(a, b Key) int { return bytes.Compare(a[:], b[:]) })
 }

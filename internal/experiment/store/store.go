@@ -11,7 +11,6 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -88,11 +87,18 @@ func (s *Store) Dir() string { return s.dir }
 // Put is individually durable. It exists to satisfy CellStore.
 func (s *Store) Close() error { return nil }
 
-// path maps a key to its file: two-hex-digit fan-out keeps directories
-// small even for million-cell matrices.
+// path maps a key to its file, dir/ab/abcdef….json: two-hex-digit
+// fan-out keeps directories small even for million-cell matrices. The
+// path is appended into one stack buffer, so the string os.Open takes
+// is the only allocation.
 func (s *Store) path(k Key) string {
-	h := k.String()
-	return filepath.Join(s.dir, h[:2], h+".json")
+	b := append(make([]byte, 0, 256), filepath.Clean(s.dir)...)
+	if !os.IsPathSeparator(b[len(b)-1]) {
+		b = append(b, filepath.Separator)
+	}
+	b = append(hex.AppendEncode(b, k[:1]), filepath.Separator)
+	b = append(hex.AppendEncode(b, k[:]), ".json"...)
+	return string(b)
 }
 
 // fileV1 is the on-disk envelope. Cell stays raw so Sum is computed
@@ -330,17 +336,17 @@ func decodeEntry(k Key, data []byte) (attacks.Row, error) {
 	return decodeRow(c), nil
 }
 
-// decodePayload opens k's envelope and decodes its payload into a T
-// with one json.Unmarshal.
+// decodePayload opens k's envelope and decodes its payload into a T,
+// which must be json.Marshal's exact encoding of the value.
 func decodePayload[T any](k Key, data []byte, version int, kind, field string) (T, error) {
-	var v T
 	payload, err := openEnvelope(k, data, version, kind, field)
 	if err != nil {
-		return v, err
-	}
-	if err := json.Unmarshal(payload, &v); err != nil {
 		var zero T
-		return zero, fmt.Errorf("store: entry %s %s: %v", k, field, err)
+		return zero, err
+	}
+	v, ok := decodeCanonical[T](payload)
+	if !ok {
+		return v, fmt.Errorf("store: entry %s: %s payload is not in canonical form", k, field)
 	}
 	return v, nil
 }
@@ -354,7 +360,8 @@ func decodePayload[T any](k Key, data []byte, version int, kind, field string) (
 // encoders write has this form, so anything else — the wrong version,
 // kind or key, a checksum mismatch, but also valid JSON with reordered
 // fields, whitespace or an unknown field — is refused (fails closed).
-// The payload is left for the caller's one json.Unmarshal to check.
+// The payload is left for decodeCanonical, which holds it to the same
+// rule.
 func openEnvelope(k Key, data []byte, version int, kind, field string) ([]byte, error) {
 	var key [2 * sha256.Size]byte
 	hex.Encode(key[:], k[:])
@@ -454,7 +461,7 @@ func (s *Store) Keys() ([]Key, error) {
 	if err := s.walkEntries(func(k Key) { keys = append(keys, k) }); err != nil {
 		return nil, err
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].String() < keys[j].String() })
+	sortKeys(keys)
 	return keys, nil
 }
 
