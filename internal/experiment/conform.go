@@ -171,9 +171,16 @@ type ConformanceCell struct {
 // Cells expands the spec into its ordered cell matrix: model-major,
 // then seed, then pair, then ablation — every pair's ablation rows are
 // contiguous, so reports group naturally.
-func (s ConformanceSpec) Cells() ([]ConformanceCell, error) {
+func (s ConformanceSpec) Cells() ([]ConformanceCell, error) { return s.cells(math.MaxInt) }
+
+// cells is Cells, refusing more than maxCells cells before allocating.
+func (s ConformanceSpec) cells(maxCells int) ([]ConformanceCell, error) {
 	spec := s.normalized()
-	cells := make([]ConformanceCell, 0, len(spec.Models)*len(spec.Seeds)*spec.Pairs*len(spec.Ablations))
+	n, err := boundCells(maxCells, len(spec.Models), len(spec.Seeds), spec.Pairs, len(spec.Ablations))
+	if err != nil {
+		return nil, err
+	}
+	cells := make([]ConformanceCell, 0, n)
 	for _, mname := range spec.Models {
 		model, ok := proofModelByName(strings.TrimSpace(mname))
 		if !ok {
@@ -288,12 +295,9 @@ func RunConformance(spec ConformanceSpec, opt ConformanceOptions) (*ConformanceM
 	if err != nil {
 		return nil, err
 	}
-	results, stats, err := runMatrix(&conformKind, cells, opt)
+	results, err := runMatrix(&conformKind, cells, opt)
 	if err != nil {
 		return nil, err
-	}
-	if opt.Stats != nil {
-		*opt.Stats = stats
 	}
 	return &ConformanceMatrix{Spec: spec, Cells: results}, nil
 }
@@ -302,7 +306,7 @@ func RunConformance(spec ConformanceSpec, opt ConformanceOptions) (*ConformanceM
 // each cell is its own group.
 var conformKind = matrixKind[ConformanceCell, ConformanceCellResult]{
 	key: func(c ConformanceCell) (store.Key, bool) { return ConformKey(c), true },
-	get: func(st store.CellStore, k store.Key, c ConformanceCell) (ConformanceCellResult, bool) {
+	get: func(st store.MatrixStore, k store.Key, c ConformanceCell) (ConformanceCellResult, bool) {
 		cv, ok := st.GetConform(k)
 		if !ok {
 			return ConformanceCellResult{}, false
@@ -310,12 +314,16 @@ var conformKind = matrixKind[ConformanceCell, ConformanceCellResult]{
 		return decodeConformCell(c, cv), true
 	},
 	exec: runConformCell,
-	put: func(st store.CellStore, k store.Key, r ConformanceCellResult) error {
+	put: func(st store.MatrixStore, k store.Key, r ConformanceCellResult) error {
 		return st.PutConform(k, encodeConformCell(r))
 	},
 	errOf: func(r ConformanceCellResult) string { return r.Err },
 	label: func(c ConformanceCell) string {
 		return fmt.Sprintf("conform %s/%s pair=%d seed=%d", c.Model, c.Ablation, c.Pair, c.Seed)
+	},
+	adopt: func(r ConformanceCellResult, c ConformanceCell) ConformanceCellResult {
+		r.ConformanceCell = c
+		return r
 	},
 }
 

@@ -1,8 +1,8 @@
 package experiment
 
 import (
-	"context"
 	"fmt"
+	"io"
 	"runtime"
 	"sync"
 
@@ -14,9 +14,9 @@ import (
 // sweep (runner.go), the proof matrix (proofs.go), and the conformance
 // matrix (conform.go) each describe their cells with one matrixKind;
 // runMatrix executes any of them — shard, concurrent store probe,
-// worker pool, write-back, progress — and Unit hands the same kind
+// worker pool, write-back, progress — and Plan hands the same kind
 // table to an external scheduler (the sweep service), so in-process
-// runs and served runs key, execute, and store cells identically.
+// runs and served runs key, execute, store, and assemble identically.
 
 // RunOptions tunes a matrix run over cells of type C. Parallelism,
 // Store, Progress, and Stats never affect the report's bytes — a warm,
@@ -47,12 +47,6 @@ type RunOptions[C any] struct {
 	// appear in the report (whose bytes must not depend on cache
 	// state).
 	Stats *CacheStats
-	// Context, when non-nil, scopes the run to a job: once it is
-	// cancelled no further cells are dispatched, in-flight cells finish
-	// (and their results are written back, so no completed work is
-	// lost), and the run returns the context's error instead of a
-	// report.
-	Context context.Context
 }
 
 // Options tunes a sweep run (Run).
@@ -132,12 +126,12 @@ type matrixKind[C, R any] struct {
 	key func(c C) (store.Key, bool)
 	// get reads the entry stored under k and decodes it into c's
 	// result; every failure mode is a miss.
-	get func(st store.CellStore, k store.Key, c C) (R, bool)
+	get func(st store.MatrixStore, k store.Key, c C) (R, bool)
 	// exec executes one cell on the worker's reusable context. A panic
 	// becomes the result's error, never the run's.
 	exec func(cc *attacks.CellContext, c C) R
 	// put encodes a completed result and writes it under k.
-	put func(st store.CellStore, k store.Key, r R) error
+	put func(st store.MatrixStore, k store.Key, r R) error
 	// errOf is a result's failure ("" = success); failed results are
 	// never cached.
 	errOf func(r R) string
@@ -146,6 +140,9 @@ type matrixKind[C, R any] struct {
 	sameGroup func(a, b C) bool
 	// label names a cell in the service's job event stream.
 	label func(c C) string
+	// adopt re-addresses r, a joined flight's result for another cell
+	// under the same key, to c, sharing no memory assembly writes.
+	adopt func(r R, c C) R
 }
 
 // cellGroup is one contiguous run of cells in the same group.
@@ -191,12 +188,13 @@ func shard[C any](cells []C, sh ShardSel, sameGroup func(a, b C) bool) ([]C, err
 }
 
 // runMatrix executes one shard of a cell matrix and returns its results
-// in matrix order. The results depend only on the cells: worker count,
-// store state, and scheduling decide only which cells re-execute.
-func runMatrix[C, R any](k *matrixKind[C, R], cells []C, opt RunOptions[C]) ([]R, CacheStats, error) {
+// in matrix order, and its cache statistics in opt.Stats. The results
+// depend only on the cells: worker count, store state, and scheduling
+// decide only which cells re-execute.
+func runMatrix[C, R any](k *matrixKind[C, R], cells []C, opt RunOptions[C]) ([]R, error) {
 	cells, err := shard(cells, opt.Shard, k.sameGroup)
 	if err != nil {
-		return nil, CacheStats{}, err
+		return nil, err
 	}
 	stats := CacheStats{Total: len(cells)}
 	results := make([]R, len(cells))
@@ -288,124 +286,170 @@ func runMatrix[C, R any](k *matrixKind[C, R], cells []C, opt RunOptions[C]) ([]R
 			}
 		}()
 	}
-	var cancel <-chan struct{} // nil blocks forever: no job context
-	if opt.Context != nil {
-		cancel = opt.Context.Done()
-	}
-feed:
 	for _, i := range pending {
-		select {
-		case jobs <- i:
-		case <-cancel:
-			break feed
-		}
+		jobs <- i
 	}
 	close(jobs)
 	wg.Wait()
-	if opt.Context != nil && opt.Context.Err() != nil {
-		return nil, stats, opt.Context.Err()
+	if opt.Stats != nil {
+		*opt.Stats = stats
 	}
-	return results, stats, nil
+	return results, nil
 }
 
-// Unit is one cell of a planned matrix, packaged for a scheduler that
-// runs cells itself, across jobs (the sweep service). It carries the
-// same key, store codec, and executor the matrix runners use, so a
-// cell a scheduler stores is exactly the entry a runner would store.
-type Unit struct {
+// Plan is one shard of a matrix planned for a scheduler that runs cells
+// itself, across jobs (the sweep service): its units, each bound to a
+// result slot. Once the scheduler has resolved every unit, WriteReport
+// assembles the report from the slots with the in-process runner's own
+// code, so the bytes are the runner's for the same spec and shard.
+type Plan struct {
+	// Groups are the units by finalisation group: the only safe
+	// work-stealing granule for a scheduler, since cross-row
+	// post-processing needs a group's every row.
+	Groups [][]Unit
+	// report assembles the report JSON from the resolved slots.
+	report func(w io.Writer) error
+}
+
+// WriteReport writes the report JSON once every unit has resolved.
+// Assembly finalises the slots in place, so it runs once per plan.
+func (p *Plan) WriteReport(w io.Writer) error { return p.report(w) }
+
+// Unit is one cell of a Plan, bound to its result slot. It uses the
+// same key, store codec, and executor the matrix runners use, so a cell
+// a scheduler stores is exactly the entry a runner would store.
+type Unit interface {
 	// Key is the cell's content-addressed store key.
-	Key store.Key
+	Key() store.Key
 	// Label names the cell in a job's event stream.
-	Label string
-	// Cached reports whether st holds a valid entry for the cell.
-	Cached func(st store.CellStore) bool
-	// Execute runs the cell on cc and writes its result to st. err is
-	// the cell's own failure (a failed cell is not stored); putErr is a
-	// failed write-back, which leaves a re-executable miss.
-	Execute func(cc *attacks.CellContext, st store.CellStore) (putErr, err error)
+	Label() string
+	// Load reads the cell's entry from st into the slot; false is a
+	// miss, and leaves the slot to Execute.
+	Load(st store.MatrixStore) bool
+	// Execute runs the cell on cc into the slot and writes a successful
+	// result to st. err is the cell's own failure (its row fills the
+	// slot but is not stored); putErr is a failed write-back.
+	Execute(cc *attacks.CellContext, st store.MatrixStore) (putErr, err error)
+	// Result copies the resolved slot for the units joining its flight.
+	Result() any
+	// Join fills the slot from r, the Result of a unit with its key.
+	Join(r any)
 }
 
-// plan shards cells and packages every finalisation group as a group
-// of units — the only safe work-stealing granule for a scheduler, since
-// cross-row post-processing needs a group's every row.
-func (k *matrixKind[C, R]) plan(cells []C, sh ShardSel) ([][]Unit, error) {
+// slot is a Unit of kind C/R: a planned cell and its result, held in
+// the plan's cell and result slices.
+type slot[C, R any] struct {
+	k   *matrixKind[C, R]
+	key store.Key
+	c   *C
+	r   *R
+}
+
+func (s *slot[C, R]) Key() store.Key { return s.key }
+func (s *slot[C, R]) Label() string  { return s.k.label(*s.c) }
+func (s *slot[C, R]) Result() any    { return *s.r }
+func (s *slot[C, R]) Join(r any)     { *s.r = s.k.adopt(r.(R), *s.c) }
+
+func (s *slot[C, R]) Load(st store.MatrixStore) (hit bool) {
+	*s.r, hit = s.k.get(st, s.key, *s.c)
+	return hit
+}
+
+func (s *slot[C, R]) Execute(cc *attacks.CellContext, st store.MatrixStore) (putErr, err error) {
+	*s.r = s.k.exec(cc, *s.c)
+	if msg := s.k.errOf(*s.r); msg != "" {
+		return nil, fmt.Errorf("experiment: %s: %s", s.Label(), msg)
+	}
+	return s.k.put(st, s.key, *s.r), nil
+}
+
+// plan shards cells and binds each to a slot of the returned results,
+// grouped by finalisation group.
+func (k *matrixKind[C, R]) plan(cells []C, sh ShardSel) ([]R, [][]Unit, error) {
 	cells, err := shard(cells, sh, k.sameGroup)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	var out [][]Unit
+	results := make([]R, len(cells))
+	slots := make([]slot[C, R], len(cells))
+	var groups [][]Unit
 	for _, g := range groupBounds(cells, k.sameGroup) {
 		units := make([]Unit, 0, g.end-g.start)
-		for _, c := range cells[g.start:g.end] {
-			key, ok := k.key(c)
+		for i := g.start; i < g.end; i++ {
+			key, ok := k.key(cells[i])
 			if !ok {
-				return nil, fmt.Errorf("cell %s does not resolve against the registry", k.label(c))
+				return nil, nil, fmt.Errorf("cell %s does not resolve against the registry", k.label(cells[i]))
 			}
-			units = append(units, k.unit(c, key))
+			slots[i] = slot[C, R]{k: k, key: key, c: &cells[i], r: &results[i]}
+			units = append(units, &slots[i])
 		}
-		out = append(out, units)
+		groups = append(groups, units)
 	}
-	return out, nil
+	return results, groups, nil
 }
 
-// unit packages one keyed cell.
-func (k *matrixKind[C, R]) unit(c C, key store.Key) Unit {
-	label := k.label(c)
-	return Unit{
-		Key:   key,
-		Label: label,
-		Cached: func(st store.CellStore) bool {
-			_, hit := k.get(st, key, c)
-			return hit
-		},
-		Execute: func(cc *attacks.CellContext, st store.CellStore) (error, error) {
-			r := k.exec(cc, c)
-			if msg := k.errOf(r); msg != "" {
-				return nil, fmt.Errorf("experiment: %s: %s", label, msg)
-			}
-			return k.put(st, key, r), nil
-		},
-	}
-}
-
-// PlanSweep expands a sweep spec into one shard's units, grouped by
-// finalisation group, followed by one single-unit group per T1 proof
-// cell when the spec requests proofs and the shard carries them — the
-// exact cells Run executes under the same shard.
-func PlanSweep(s Spec, sh ShardSel) ([][]Unit, error) {
-	cells, err := s.Cells()
+// PlanSweep plans one shard of a sweep — its attack cells, then one
+// group per T1 proof cell when the spec requests proofs and the shard
+// carries them: Run's exact cells and report under the same shard. An
+// attack matrix of more than maxCells cells is refused before it is
+// expanded; the T1 matrix is a fixed handful of cells.
+func PlanSweep(s Spec, sh ShardSel, maxCells int) (*Plan, error) {
+	s = s.normalized()
+	cells, err := s.cells(maxCells)
 	if err != nil {
 		return nil, err
 	}
-	groups, err := sweepKind.plan(cells, sh)
-	if err != nil || !s.Proofs || !sh.carriesProofs() {
-		return groups, err
-	}
-	pcells, err := SweepProofSpec(s).Cells()
+	results, groups, err := sweepKind.plan(cells, sh)
 	if err != nil {
 		return nil, err
 	}
-	proofs, err := proofKind.plan(pcells, ShardSel{})
-	return append(groups, proofs...), err
+	var proofs []ProofCellResult
+	if s.Proofs && sh.carriesProofs() {
+		pcells, err := SweepProofSpec(s).Cells()
+		if err != nil {
+			return nil, err
+		}
+		var pgroups [][]Unit
+		if proofs, pgroups, err = proofKind.plan(pcells, ShardSel{}); err != nil {
+			return nil, err
+		}
+		groups = append(groups, pgroups...)
+	}
+	return &Plan{Groups: groups, report: func(w io.Writer) error {
+		return WriteJSON(w, sweepReport(s, results, proofs))
+	}}, nil
 }
 
-// PlanProofs expands a proof spec into one shard's units, one per
-// group — the exact cells RunProofMatrix executes under the same shard.
-func PlanProofs(s ProofSpec, sh ShardSel) ([][]Unit, error) {
-	cells, err := s.Cells()
+// PlanProofs plans one shard of a proof matrix: RunProofMatrix's exact
+// cells and report under the same shard, bounded like PlanSweep.
+func PlanProofs(s ProofSpec, sh ShardSel, maxCells int) (*Plan, error) {
+	s = s.normalized()
+	cells, err := s.cells(maxCells)
 	if err != nil {
 		return nil, err
 	}
-	return proofKind.plan(cells, sh)
+	results, groups, err := proofKind.plan(cells, sh)
+	if err != nil {
+		return nil, err
+	}
+	return &Plan{Groups: groups, report: func(w io.Writer) error {
+		return WriteProofsJSON(w, &ProofMatrix{Spec: s, Cells: results})
+	}}, nil
 }
 
-// PlanConformance expands a conformance spec into one shard's units,
-// one per group — the exact cells RunConformance executes under the
-// same shard.
-func PlanConformance(s ConformanceSpec, sh ShardSel) ([][]Unit, error) {
-	cells, err := s.Cells()
+// PlanConformance plans one shard of a conformance matrix:
+// RunConformance's exact cells and report, bounded like PlanSweep.
+func PlanConformance(s ConformanceSpec, sh ShardSel, maxCells int) (*Plan, error) {
+	s = s.normalized()
+	cells, err := s.cells(maxCells)
 	if err != nil {
 		return nil, err
 	}
-	return conformKind.plan(cells, sh)
+	results, groups, err := conformKind.plan(cells, sh)
+	if err != nil {
+		return nil, err
+	}
+	return &Plan{Groups: groups, report: func(w io.Writer) error {
+		return WriteConformanceJSON(w, &ConformanceMatrix{Spec: s, Cells: results})
+	}}, nil
 }

@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"testing"
 
@@ -23,54 +22,45 @@ func (failPutStore) PutConform(store.Key, store.ConformV1) error {
 }
 
 // engineCase runs one matrix kind through its public runner: st is the
-// run's store (nil = none), ctx its job context (nil = none), and
-// onCell, when non-nil, is called from every Progress callback. It
-// returns the report's JSON bytes and the run's cache statistics.
+// run's store (nil = none). It returns the report's JSON bytes and the
+// run's cache statistics.
 type engineCase struct {
 	name string
-	run  func(t *testing.T, st store.CellStore, ctx context.Context, onCell func()) ([]byte, CacheStats, error)
-}
-
-// progressHook adapts onCell to a kind's Progress signature.
-func progressHook[C any](onCell func()) func(int, int, C) {
-	if onCell == nil {
-		return nil
-	}
-	return func(int, int, C) { onCell() }
+	run  func(t *testing.T, st store.CellStore) ([]byte, CacheStats, error)
 }
 
 // engineCases covers every matrix kind with a small matrix; the sweep
 // carries its T1 proof section so the folded Proof* stats are covered.
 func engineCases() []engineCase {
 	return []engineCase{
-		{"sweep", func(t *testing.T, st store.CellStore, ctx context.Context, onCell func()) ([]byte, CacheStats, error) {
+		{"sweep", func(t *testing.T, st store.CellStore) ([]byte, CacheStats, error) {
 			var stats CacheStats
 			rep, err := Run(Spec{
 				Scenarios: []string{"T2"}, Rounds: 8, Seeds: []uint64{42},
 				Proofs: true, ProofFamilies: 1, ProofRandom: 5,
-			}, Options{Parallelism: 1, Store: st, Stats: &stats, Context: ctx, Progress: progressHook[Cell](onCell)})
+			}, Options{Parallelism: 1, Store: st, Stats: &stats})
 			if err != nil {
 				return nil, stats, err
 			}
 			return renderJSON(t, rep), stats, nil
 		}},
-		{"proof", func(t *testing.T, st store.CellStore, ctx context.Context, onCell func()) ([]byte, CacheStats, error) {
+		{"proof", func(t *testing.T, st store.CellStore) ([]byte, CacheStats, error) {
 			var stats CacheStats
 			m, err := RunProofMatrix(ProofSpec{
 				Models: []string{"base"}, Ablations: []string{"full protection", "no flush", "no pad"},
 				Families: []int{1}, Random: 5, Seeds: []uint64{7},
-			}, ProofOptions{Parallelism: 1, Store: st, Stats: &stats, Context: ctx, Progress: progressHook[ProofCell](onCell)})
+			}, ProofOptions{Parallelism: 1, Store: st, Stats: &stats})
 			if err != nil {
 				return nil, stats, err
 			}
 			return renderProofsJSON(t, m), stats, nil
 		}},
-		{"conformance", func(t *testing.T, st store.CellStore, ctx context.Context, onCell func()) ([]byte, CacheStats, error) {
+		{"conformance", func(t *testing.T, st store.CellStore) ([]byte, CacheStats, error) {
 			var stats CacheStats
 			m, err := RunConformance(ConformanceSpec{
 				Models: []string{"base"}, Ablations: []string{"full protection", "no pad"},
 				Pairs: 2, Rounds: 10, Families: 1, Seeds: []uint64{7},
-			}, ConformanceOptions{Parallelism: 1, Store: st, Stats: &stats, Context: ctx, Progress: progressHook[ConformanceCell](onCell)})
+			}, ConformanceOptions{Parallelism: 1, Store: st, Stats: &stats})
 			if err != nil {
 				return nil, stats, err
 			}
@@ -79,19 +69,18 @@ func engineCases() []engineCase {
 	}
 }
 
-// TestEngineContract pins the matrix engine's store and cancellation
-// contract for every cell kind: a failed write-back is counted but
-// never fails the run, and a cancelled run loses no completed cell.
+// TestEngineContract pins the matrix engine's store contract for every
+// cell kind: a failed write-back is counted but never fails the run.
 func TestEngineContract(t *testing.T) {
 	for _, tc := range engineCases() {
 		t.Run(tc.name, func(t *testing.T) {
-			cold, _, err := tc.run(t, nil, nil, nil)
+			cold, _, err := tc.run(t, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 
 			t.Run("failed-puts", func(t *testing.T) {
-				got, stats, err := tc.run(t, failPutStore{openStore(t)}, nil, nil)
+				got, stats, err := tc.run(t, failPutStore{openStore(t)})
 				if err != nil {
 					t.Fatalf("a failing store failed the run: %v", err)
 				}
@@ -104,25 +93,6 @@ func TestEngineContract(t *testing.T) {
 				}
 				if !bytes.Equal(got, cold) {
 					t.Fatal("report over a failing store differs from the cold run")
-				}
-			})
-
-			t.Run("cancel", func(t *testing.T) {
-				st := openStore(t)
-				ctx, cancel := context.WithCancel(context.Background())
-				defer cancel()
-				if _, _, err := tc.run(t, st, ctx, cancel); !errors.Is(err, context.Canceled) {
-					t.Fatalf("cancelled run returned %v, want context.Canceled", err)
-				}
-				got, stats, err := tc.run(t, st, nil, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if stats.Hits < 1 {
-					t.Fatalf("rerun after cancel got no store hit: %+v", stats)
-				}
-				if !bytes.Equal(got, cold) {
-					t.Fatal("rerun after cancel differs from the cold run")
 				}
 			})
 		})

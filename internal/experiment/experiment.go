@@ -21,6 +21,7 @@ package experiment
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"timeprot/internal/attacks"
@@ -197,7 +198,10 @@ func selectScenarios(keys []string) ([]attacks.Scenario, error) {
 // Cells expands the spec into its ordered cell matrix: scenario-major,
 // then base seed, then trial, then variant — so every (scenario, seed)
 // group of variant rows is contiguous for cross-row post-processing.
-func (s Spec) Cells() ([]Cell, error) {
+func (s Spec) Cells() ([]Cell, error) { return s.cells(math.MaxInt) }
+
+// cells is Cells, refusing more than maxCells cells before allocating.
+func (s Spec) cells(maxCells int) ([]Cell, error) {
 	spec := s.normalized()
 	scens, err := selectScenarios(spec.Scenarios)
 	if err != nil {
@@ -212,9 +216,17 @@ func (s Spec) Cells() ([]Cell, error) {
 	}
 	n := 0
 	for _, sc := range scens {
-		n += len(sc.Variants)
+		for _, v := range sc.Variants {
+			if varFilter == nil || varFilter[v.Label] {
+				n++
+			}
+		}
 	}
-	cells := make([]Cell, 0, n*len(spec.Seeds)*spec.Trials)
+	n, err = boundCells(maxCells, n, len(spec.Seeds), spec.Trials)
+	if err != nil {
+		return nil, err
+	}
+	cells := make([]Cell, 0, n)
 	for _, sc := range scens {
 		rounds := sc.Rounds(spec.Rounds)
 		for _, base := range spec.Seeds {
@@ -257,4 +269,18 @@ func (s Spec) Cells() ([]Cell, error) {
 		return nil, fmt.Errorf("experiment: empty sweep matrix")
 	}
 	return cells, nil
+}
+
+// boundCells counts a matrix from its non-negative dimensions before it
+// is expanded, refusing it when it exceeds maxCells. The product never
+// overflows: it is checked against maxCells factor by factor.
+func boundCells(maxCells int, dims ...int) (int, error) {
+	n := 1
+	for _, d := range dims {
+		if d != 0 && n > maxCells/d {
+			return 0, fmt.Errorf("experiment: matrix exceeds %d cells", maxCells)
+		}
+		n *= d
+	}
+	return n, nil
 }

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 
@@ -199,9 +200,16 @@ type ProofCell struct {
 // then family count, then seed, then ablation — so every (model,
 // families, seed) group of ablation rows is contiguous for the
 // reporters' per-table grouping.
-func (s ProofSpec) Cells() ([]ProofCell, error) {
+func (s ProofSpec) Cells() ([]ProofCell, error) { return s.cells(math.MaxInt) }
+
+// cells is Cells, refusing more than maxCells cells before allocating.
+func (s ProofSpec) cells(maxCells int) ([]ProofCell, error) {
 	spec := s.normalized()
-	cells := make([]ProofCell, 0, len(spec.Models)*len(spec.Families)*len(spec.Seeds)*len(spec.Ablations))
+	n, err := boundCells(maxCells, len(spec.Models), len(spec.Families), len(spec.Seeds), len(spec.Ablations))
+	if err != nil {
+		return nil, err
+	}
+	cells := make([]ProofCell, 0, n)
 	for _, mname := range spec.Models {
 		model, ok := proofModelByName(strings.TrimSpace(mname))
 		if !ok {
@@ -348,12 +356,9 @@ func RunProofMatrix(spec ProofSpec, opt ProofOptions) (*ProofMatrix, error) {
 	if err != nil {
 		return nil, err
 	}
-	results, stats, err := runMatrix(&proofKind, cells, opt)
+	results, err := runMatrix(&proofKind, cells, opt)
 	if err != nil {
 		return nil, err
-	}
-	if opt.Stats != nil {
-		*opt.Stats = stats
 	}
 	return &ProofMatrix{Spec: spec, Cells: results}, nil
 }
@@ -362,7 +367,7 @@ func RunProofMatrix(spec ProofSpec, opt ProofOptions) (*ProofMatrix, error) {
 // cells have no cross-row post-processing, so each is its own group.
 var proofKind = matrixKind[ProofCell, ProofCellResult]{
 	key: func(c ProofCell) (store.Key, bool) { return ProofKey(c), true },
-	get: func(st store.CellStore, k store.Key, c ProofCell) (ProofCellResult, bool) {
+	get: func(st store.MatrixStore, k store.Key, c ProofCell) (ProofCellResult, bool) {
 		p, ok := st.GetProof(k)
 		if !ok {
 			return ProofCellResult{}, false
@@ -370,12 +375,16 @@ var proofKind = matrixKind[ProofCell, ProofCellResult]{
 		return decodeProofCell(c, p), true
 	},
 	exec: runProofCell,
-	put: func(st store.CellStore, k store.Key, r ProofCellResult) error {
+	put: func(st store.MatrixStore, k store.Key, r ProofCellResult) error {
 		return st.PutProof(k, encodeProofCell(r))
 	},
 	errOf: func(r ProofCellResult) string { return r.Err },
 	label: func(c ProofCell) string {
 		return fmt.Sprintf("proof %s/%s fam=%d seed=%d", c.Model, c.Ablation, c.Families, c.Seed)
+	},
+	adopt: func(r ProofCellResult, c ProofCell) ProofCellResult {
+		r.ProofCell = c
+		return r
 	},
 }
 
@@ -511,9 +520,9 @@ func SweepProofSpec(s Spec) ProofSpec {
 
 // legacyProofResults flattens proof cells into the sweep Report's T1
 // rows.
-func legacyProofResults(m *ProofMatrix) []ProofResult {
-	out := make([]ProofResult, 0, len(m.Cells))
-	for _, c := range m.Cells {
+func legacyProofResults(cells []ProofCellResult) []ProofResult {
+	out := make([]ProofResult, 0, len(cells))
+	for _, c := range cells {
 		out = append(out, ProofResult{
 			Name:          c.Ablation,
 			Proved:        c.Proved,
@@ -542,5 +551,5 @@ func RunProofs(families, extraRandom int, seed uint64, parallelism int) []ProofR
 	if err != nil {
 		panic(err) // unreachable: the canonical spec always expands
 	}
-	return legacyProofResults(m)
+	return legacyProofResults(m.Cells)
 }

@@ -3,6 +3,7 @@ package experiment
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"timeprot/internal/attacks"
 	"timeprot/internal/core"
@@ -133,42 +134,47 @@ func Run(spec Spec, opt Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	results, stats, err := runMatrix(&sweepKind, cells, opt)
+	results, err := runMatrix(&sweepKind, cells, opt)
 	if err != nil {
 		return nil, err
-	}
-	finalizeGroups(results)
-
-	rep := &Report{
-		Spec:     spec,
-		Cells:    results,
-		Contract: defaultContract(),
 	}
 	// Proof cells ARE content-keyed, so the run's store serves and
 	// receives them like attack cells — a warm sweep executes zero
 	// proofs too. The proof matrix keeps the full parallelism even when
 	// the cell pool had little or nothing to execute (a warm run).
+	var proofs []ProofCellResult
 	if spec.Proofs && opt.Shard.carriesProofs() {
 		var pstats CacheStats
 		pm, err := RunProofMatrix(SweepProofSpec(spec),
-			ProofOptions{Parallelism: opt.Parallelism, Store: opt.Store, Stats: &pstats, Context: opt.Context})
+			ProofOptions{Parallelism: opt.Parallelism, Store: opt.Store, Stats: &pstats})
 		if err != nil {
 			return nil, err
 		}
-		rep.Proofs = legacyProofResults(pm)
-		stats.ProofTotal = pstats.Total
-		stats.ProofHits = pstats.Hits
-		stats.ProofExecuted = pstats.Executed
-		stats.ProofStored = pstats.Stored
-		stats.FailedPuts += pstats.FailedPuts
-		if stats.FailedPut == "" {
-			stats.FailedPut = pstats.FailedPut
+		proofs = pm.Cells
+		if st := opt.Stats; st != nil {
+			st.ProofTotal = pstats.Total
+			st.ProofHits = pstats.Hits
+			st.ProofExecuted = pstats.Executed
+			st.ProofStored = pstats.Stored
+			st.FailedPuts += pstats.FailedPuts
+			if st.FailedPut == "" {
+				st.FailedPut = pstats.FailedPut
+			}
 		}
 	}
-	if opt.Stats != nil {
-		*opt.Stats = stats
+	return sweepReport(spec, results, proofs), nil
+}
+
+// sweepReport assembles a sweep report from its cells' results in
+// matrix order and, when the run carries them, its T1 proof cells'. It
+// is the one assembly behind Run and a served sweep's Plan.
+func sweepReport(spec Spec, cells []CellResult, proofs []ProofCellResult) *Report {
+	finalizeGroups(cells)
+	rep := &Report{Spec: spec, Cells: cells, Contract: defaultContract()}
+	if proofs != nil {
+		rep.Proofs = legacyProofResults(proofs)
 	}
-	return rep, nil
+	return rep
 }
 
 // sweepKind is the attack-cell row of the engine's kind table. The
@@ -176,7 +182,7 @@ func Run(spec Spec, opt Options) (*Report, error) {
 // recomputed (deterministically) by finalizeGroups at report time.
 var sweepKind = matrixKind[Cell, CellResult]{
 	key: CellKey,
-	get: func(st store.CellStore, k store.Key, c Cell) (CellResult, bool) {
+	get: func(st store.MatrixStore, k store.Key, c Cell) (CellResult, bool) {
 		row, ok := st.Get(k)
 		res := CellResult{Cell: c}
 		if ok {
@@ -185,11 +191,17 @@ var sweepKind = matrixKind[Cell, CellResult]{
 		return res, ok
 	},
 	exec:      runCell,
-	put:       func(st store.CellStore, k store.Key, r CellResult) error { return st.Put(k, r.row) },
+	put:       func(st store.MatrixStore, k store.Key, r CellResult) error { return st.Put(k, r.row) },
 	errOf:     func(r CellResult) string { return r.Err },
 	sameGroup: sameGroup,
 	label: func(c Cell) string {
 		return fmt.Sprintf("%s/%s seed=%d", c.ScenarioID, c.Variant, c.Seed)
+	},
+	adopt: func(r CellResult, c Cell) CellResult {
+		// finalizeGroups appends to a row's Extra (T12's slowdown): clip
+		// it so that append copies instead of writing the owner's array.
+		r.Cell, r.row.Extra = c, slices.Clip(r.row.Extra)
+		return r
 	},
 }
 

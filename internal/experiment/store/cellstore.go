@@ -37,18 +37,7 @@ import (
 type CellStore interface {
 	// Dir returns the store's root directory.
 	Dir() string
-	// Get returns the row stored under k; every failure mode is a miss.
-	Get(k Key) (attacks.Row, bool)
-	// Put stores a measured row under k.
-	Put(k Key, row attacks.Row) error
-	// GetProof returns the proof verdict stored under k.
-	GetProof(k Key) (ProofV1, bool)
-	// PutProof stores a proof verdict under k.
-	PutProof(k Key, p ProofV1) error
-	// GetConform returns the conformance outcome stored under k.
-	GetConform(k Key) (ConformV1, bool)
-	// PutConform stores a conformance outcome under k.
-	PutConform(k Key, c ConformV1) error
+	MatrixStore
 	// GetDiscover returns the discovery evaluation stored under k.
 	GetDiscover(k Key) (DiscoverV1, bool)
 	// PutDiscover stores a discovery evaluation under k.
@@ -64,6 +53,23 @@ type CellStore interface {
 	// active segment and persists the index sidecar for a fast reopen;
 	// for the file backend it is a no-op.
 	Close() error
+}
+
+// MatrixStore is the part of a CellStore the matrix engine reads and
+// writes: the attack-cell, proof, and conformance entries.
+type MatrixStore interface {
+	// Get returns the row stored under k; every failure mode is a miss.
+	Get(k Key) (attacks.Row, bool)
+	// Put stores a measured row under k.
+	Put(k Key, row attacks.Row) error
+	// GetProof returns the proof verdict stored under k.
+	GetProof(k Key) (ProofV1, bool)
+	// PutProof stores a proof verdict under k.
+	PutProof(k Key, p ProofV1) error
+	// GetConform returns the conformance outcome stored under k.
+	GetConform(k Key) (ConformV1, bool)
+	// PutConform stores a conformance outcome under k.
+	PutConform(k Key, c ConformV1) error
 }
 
 // Backend names for OpenBackend and DetectBackend.

@@ -16,11 +16,11 @@
 // Globally, cell executions never exceed the number of distinct keys
 // submitted (internal/serve/loadtest proves the math under load).
 //
-// The report contract is byte-identity: a served report is assembled by
-// the ordinary engine runners against the now-warm shared store, so it
-// is byte-for-byte the report a cold single-process CLI run of the same
-// spec would emit — the engine's warm==cold invariant, lifted to a
-// multi-tenant service.
+// The report contract is byte-identity: a served report is assembled
+// from the scheduler's results by the engine runners' own assembly
+// code, so it is byte-for-byte the report a cold single-process CLI run
+// of the same spec would emit — the engine's warm==cold invariant,
+// lifted to a multi-tenant service.
 package serve
 
 import (
@@ -147,9 +147,9 @@ type Stats struct {
 	Executed  int `json:"executed"`
 	StoreHits int `json:"storeHits"`
 	Joined    int `json:"joined"`
-	// FailedPuts counts store write-backs that failed (the affected
-	// cells may re-execute at assembly time; the invariant then holds
-	// per surviving write, not per submission).
+	// FailedPuts counts store write-backs that failed (the report stays
+	// complete, but later jobs may re-execute the affected cells; the
+	// invariant then holds per surviving write, not per submission).
 	FailedPuts int `json:"failedPuts,omitempty"`
 	// Fingerprints are the engine fingerprints the server keys cells
 	// under — a client talking to a server with a different fingerprint

@@ -123,6 +123,7 @@ func TestHTTPContract(t *testing.T) {
 		{"err_two_specs.json", `{"kind":"sweep","sweep":` + spec + `,"proof":{}}`, http.StatusBadRequest},
 		{"err_trailing_data.json", `{"kind":"sweep","sweep":` + spec + `} this is not json`, http.StatusBadRequest},
 		{"err_second_object.json", `{"kind":"sweep","sweep":` + spec + `}{}`, http.StatusBadRequest},
+		{"err_too_many_cells.json", `{"kind":"sweep","sweep":{"Scenarios":["T2"],"Trials":1000000}}`, http.StatusBadRequest},
 		{"err_too_large.json", `{"kind":"sweep","sweep":{"Scenarios":["` + strings.Repeat("T", MaxSubmitBytes) + `"]}}`, http.StatusRequestEntityTooLarge},
 	} {
 		b = do(t, "POST", base+"/v1/jobs", tc.body, tc.code)

@@ -31,22 +31,22 @@ func TestFlightGroupDedup(t *testing.T) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
 				k := store.Key{byte((w + r) % keys)}
-				_, err := g.Do(k,
-					func() bool {
-						mu.Lock()
-						defer mu.Unlock()
-						return filled[k]
-					},
-					func() error {
-						atomic.AddInt64(&executions, 1)
-						// The write-back happens inside the flight, before
-						// the flight leaves the in-flight map — the ordering
-						// the dedup proof rests on.
-						mu.Lock()
-						filled[k] = true
-						mu.Unlock()
-						return nil
-					})
+				_, _, err := g.Do(k, func() (string, any, error) {
+					mu.Lock()
+					hit := filled[k]
+					mu.Unlock()
+					if hit {
+						return SourceStore, nil, nil
+					}
+					atomic.AddInt64(&executions, 1)
+					// The write-back happens inside the flight, before
+					// the flight leaves the in-flight map — the ordering
+					// the dedup proof rests on.
+					mu.Lock()
+					filled[k] = true
+					mu.Unlock()
+					return SourceExecuted, nil, nil
+				})
 				if err != nil {
 					t.Error(err)
 				}
@@ -60,17 +60,17 @@ func TestFlightGroupDedup(t *testing.T) {
 }
 
 // TestFlightGroupErrorPropagation: a failing execution reaches the
-// executor and every joined waiter, and does not poison later flights
-// of the same key.
+// executor with its result, and does not poison later flights of the
+// same key.
 func TestFlightGroupErrorPropagation(t *testing.T) {
 	g := newFlightGroup()
 	k := store.Key{1}
-	boom := func() error { return errFailed }
-	if src, err := g.Do(k, func() bool { return false }, boom); err == nil || src != SourceExecuted {
-		t.Fatalf("got (%s, %v), want an executed failure", src, err)
+	boom := func() (string, any, error) { return SourceExecuted, "failed row", errFailed }
+	if src, res, err := g.Do(k, boom); err == nil || src != SourceExecuted || res != "failed row" {
+		t.Fatalf("got (%s, %v, %v), want an executed failure with its row", src, res, err)
 	}
 	// The key is flightable again: the next Do executes afresh.
-	if src, err := g.Do(k, func() bool { return false }, func() error { return nil }); err != nil || src != SourceExecuted {
+	if src, _, err := g.Do(k, func() (string, any, error) { return SourceExecuted, nil, nil }); err != nil || src != SourceExecuted {
 		t.Fatalf("retry after failure: got (%s, %v)", src, err)
 	}
 }

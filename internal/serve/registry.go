@@ -16,20 +16,19 @@ import (
 // followers, so a stream started at any point replays the full history
 // and then follows live.
 type Job struct {
-	id    string
-	kind  string
-	shard experiment.ShardSel
-	req   SubmitRequest
+	id   string
+	kind string
+	req  SubmitRequest
 
 	// ctx scopes every piece of the job's work; cancel is the job's
 	// kill switch (the cancel endpoint and server shutdown).
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	// groups is the job's matrix as the scheduler's work units; total
-	// counts its cells.
-	groups [][]experiment.Unit
-	total  int
+	// plan is the job's units and result slots, released once the job
+	// is terminal; total counts its cells.
+	plan  *experiment.Plan
+	total int
 
 	mu       sync.Mutex
 	changed  chan struct{} // closed and replaced on every mutation
@@ -72,19 +71,13 @@ func (j *Job) setState(state string, now time.Time, errMsg string) {
 		j.started = now
 	case StateDone, StateFailed, StateCanceled:
 		j.finished = now
+		j.plan = nil // no unit or slot is read once the job is terminal
 	}
 	if errMsg != "" {
 		j.errMsg = errMsg
 	}
 	j.events = append(j.events, Event{Type: "state", State: state, Error: errMsg})
 	j.bump()
-}
-
-// setResult records the assembled report bytes.
-func (j *Job) setResult(b []byte) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.result = b
 }
 
 // cellDone records one scheduled cell's outcome and publishes its

@@ -63,24 +63,29 @@ func (s *scheduler) worker() {
 	}
 }
 
-// runUnit resolves one cell under the dedup discipline. A cancelled
-// job's remaining cells are skipped silently — they are not failures,
-// and another job that also wants them will flight them itself.
+// runUnit resolves one cell into its slot under the dedup discipline;
+// a joiner adopts the flight owner's result and reads nothing. A
+// cancelled job's remaining cells are skipped silently — they are not
+// failures, and another job that also wants them will flight them
+// itself.
 func (s *scheduler) runUnit(j *Job, cc *attacks.CellContext, u experiment.Unit) {
 	if j.ctx.Err() != nil {
 		return
 	}
-	src, err := s.flight.Do(u.Key,
-		func() bool { return u.Cached(s.store) },
-		func() error {
-			putErr, err := u.Execute(cc, s.store)
-			if putErr != nil {
-				s.stats.failedPut()
-			}
-			return err
-		})
-	j.cellDone(u.Label, src, err)
-	s.stats.cellDone(src)
+	var putErr error
+	src, res, err := s.flight.Do(u.Key(), func() (string, any, error) {
+		if u.Load(s.store) {
+			return SourceStore, u.Result(), nil
+		}
+		var err error
+		putErr, err = u.Execute(cc, s.store)
+		return SourceExecuted, u.Result(), err
+	})
+	if src == SourceJoined {
+		u.Join(res)
+	}
+	j.cellDone(u.Label(), src, err)
+	s.stats.cellDone(src, putErr != nil)
 }
 
 // serverStats is the server-wide dedup ledger: distinct submitted keys
@@ -102,21 +107,30 @@ func newServerStats() *serverStats {
 	return &serverStats{keys: make(map[store.Key]struct{})}
 }
 
-// addJob records one accepted submission and folds its key set into
-// the distinct-key union.
-func (s *serverStats) addJob(keys []store.Key) {
+// addJob records one accepted submission, folds its keys into the
+// distinct-key union, and returns its cell count.
+func (s *serverStats) addJob(groups [][]experiment.Unit) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.jobs++
-	s.cellsSubmitted += len(keys)
-	for _, k := range keys {
-		s.keys[k] = struct{}{}
+	n := 0
+	for _, g := range groups {
+		for _, u := range g {
+			s.keys[u.Key()] = struct{}{}
+			n++
+		}
 	}
+	s.cellsSubmitted += n
+	return n
 }
 
-func (s *serverStats) cellDone(source string) {
+// cellDone records one resolved cell and whether its write-back failed.
+func (s *serverStats) cellDone(source string, failedPut bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if failedPut {
+		s.failedPuts++
+	}
 	switch source {
 	case SourceExecuted:
 		s.executed++
@@ -125,12 +139,6 @@ func (s *serverStats) cellDone(source string) {
 	case SourceJoined:
 		s.joined++
 	}
-}
-
-func (s *serverStats) failedPut() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.failedPuts++
 }
 
 func (s *serverStats) snapshot() Stats {

@@ -28,6 +28,12 @@ func newTestServer(t *testing.T, cfg serve.Config) (string, *loadtest.Client) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return serveStore(t, st, cfg)
+}
+
+// serveStore boots a server over st behind a real HTTP listener.
+func serveStore(t *testing.T, st store.CellStore, cfg serve.Config) (string, *loadtest.Client) {
+	t.Helper()
 	srv := serve.New(st, cfg)
 	hs := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() {
@@ -259,8 +265,7 @@ type kindCase struct {
 	cold func(sh experiment.ShardSel) ([]byte, error)
 }
 
-func kindCases() []kindCase {
-	sweep := smallSweep()
+func kindCases(sweep experiment.Spec) []kindCase {
 	proof := experiment.ProofSpec{
 		Models: []string{"base"}, Ablations: []string{"full protection", "no flush", "no pad"},
 		Families: []int{1}, Random: 5, Seeds: []uint64{7},
@@ -306,7 +311,7 @@ func kindCases() []kindCase {
 // and every served report — full or sharded — is byte-identical to the
 // in-process engine run with the same shard selection.
 func TestKindsDedupAndShards(t *testing.T) {
-	for _, kc := range kindCases() {
+	for _, kc := range kindCases(smallSweep()) {
 		t.Run(kc.name, func(t *testing.T) {
 			_, c := newTestServer(t, serve.Config{Workers: 2})
 			shards := []string{"", "", "0/2", "1/2"}

@@ -33,12 +33,11 @@ type Config struct {
 // New, wire Handler into a listener, and Close to shut down (cancels
 // every job, drains the workers, closes the store).
 type Server struct {
-	store   *syncStore
-	reg     *registry
-	sched   *scheduler
-	stats   *serverStats
-	workers int
-	now     func() time.Time
+	store *syncStore
+	reg   *registry
+	sched *scheduler
+	stats *serverStats
+	now   func() time.Time
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -64,13 +63,12 @@ func New(st store.CellStore, cfg Config) *Server {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
-		store:   newSyncStore(st),
-		reg:     newRegistry(),
-		stats:   newServerStats(),
-		workers: workers,
-		now:     now,
-		ctx:     ctx,
-		cancel:  cancel,
+		store:  newSyncStore(st),
+		reg:    newRegistry(),
+		stats:  newServerStats(),
+		now:    now,
+		ctx:    ctx,
+		cancel: cancel,
 	}
 	s.sched = newScheduler(workers, s.store, s.stats)
 	s.mux = http.NewServeMux()
@@ -109,70 +107,26 @@ func (s *Server) Close() error {
 	return s.closeErr
 }
 
-// jobKind is one row of the service's kind table: how a request of the
-// kind is planned into the scheduler's units, and how its report is
-// assembled.
-type jobKind struct {
-	// plan expands the request's spec into one shard's units.
-	plan func(req SubmitRequest, sh experiment.ShardSel) ([][]experiment.Unit, error)
-	// report runs the kind's engine runner for job j on server s and
-	// writes the report JSON.
-	report func(s *Server, j *Job, w io.Writer) error
+// plan expands the request's spec of its kind into one shard's plan,
+// refusing a matrix of more than MaxJobCells cells before expanding it.
+func (req SubmitRequest) plan(sh experiment.ShardSel) (*experiment.Plan, error) {
+	switch {
+	case req.Kind == KindSweep && req.Sweep != nil:
+		return experiment.PlanSweep(*req.Sweep, sh, MaxJobCells)
+	case req.Kind == KindProof && req.Proof != nil:
+		return experiment.PlanProofs(*req.Proof, sh, MaxJobCells)
+	case req.Kind == KindConform && req.Conform != nil:
+		return experiment.PlanConformance(*req.Conform, sh, MaxJobCells)
+	case req.Kind == KindSweep || req.Kind == KindProof || req.Kind == KindConform:
+		return nil, fmt.Errorf("kind %q needs the %s spec", req.Kind, req.Kind)
+	}
+	return nil, fmt.Errorf("unknown kind %q (want %s, %s, or %s)", req.Kind, KindSweep, KindProof, KindConform)
 }
 
-// runOptions are the engine options a job's report is assembled with.
-func runOptions[C any](s *Server, j *Job) experiment.RunOptions[C] {
-	return experiment.RunOptions[C]{Parallelism: s.workers, Store: s.store, Shard: j.shard, Context: j.ctx}
-}
-
-// jobKinds maps each SubmitRequest.Kind to its row.
-var jobKinds = map[string]jobKind{
-	KindSweep: {
-		plan: func(req SubmitRequest, sh experiment.ShardSel) ([][]experiment.Unit, error) {
-			if req.Sweep == nil {
-				return nil, fmt.Errorf("kind %q needs the sweep spec", req.Kind)
-			}
-			return experiment.PlanSweep(*req.Sweep, sh)
-		},
-		report: func(s *Server, j *Job, w io.Writer) error {
-			rep, err := experiment.Run(*j.req.Sweep, runOptions[experiment.Cell](s, j))
-			if err != nil {
-				return err
-			}
-			return experiment.WriteJSON(w, rep)
-		},
-	},
-	KindProof: {
-		plan: func(req SubmitRequest, sh experiment.ShardSel) ([][]experiment.Unit, error) {
-			if req.Proof == nil {
-				return nil, fmt.Errorf("kind %q needs the proof spec", req.Kind)
-			}
-			return experiment.PlanProofs(*req.Proof, sh)
-		},
-		report: func(s *Server, j *Job, w io.Writer) error {
-			m, err := experiment.RunProofMatrix(*j.req.Proof, runOptions[experiment.ProofCell](s, j))
-			if err != nil {
-				return err
-			}
-			return experiment.WriteProofsJSON(w, m)
-		},
-	},
-	KindConform: {
-		plan: func(req SubmitRequest, sh experiment.ShardSel) ([][]experiment.Unit, error) {
-			if req.Conform == nil {
-				return nil, fmt.Errorf("kind %q needs the conform spec", req.Kind)
-			}
-			return experiment.PlanConformance(*req.Conform, sh)
-		},
-		report: func(s *Server, j *Job, w io.Writer) error {
-			m, err := experiment.RunConformance(*j.req.Conform, runOptions[experiment.ConformanceCell](s, j))
-			if err != nil {
-				return err
-			}
-			return experiment.WriteConformanceJSON(w, m)
-		},
-	},
-}
+// MaxJobCells bounds a job's (unsharded) matrix, counted before the
+// spec is expanded, so a small request cannot make the server allocate
+// without limit. Every matrix the docs and tests submit is far below it.
+const MaxJobCells = 20000
 
 // errShuttingDown refuses a submission to a closing server (a 503).
 var errShuttingDown = errors.New("server is shutting down")
@@ -196,19 +150,9 @@ func (s *Server) Submit(req SubmitRequest) (*Job, error) {
 	if err != nil {
 		return nil, err
 	}
-	kind, ok := jobKinds[req.Kind]
-	if !ok {
-		return nil, fmt.Errorf("unknown kind %q (want %s, %s, or %s)", req.Kind, KindSweep, KindProof, KindConform)
-	}
-	groups, err := kind.plan(req, sel)
+	p, err := req.plan(sel)
 	if err != nil {
 		return nil, err
-	}
-	var keys []store.Key
-	for _, g := range groups {
-		for _, u := range g {
-			keys = append(keys, u.Key)
-		}
 	}
 
 	s.closeMu.Lock()
@@ -217,26 +161,24 @@ func (s *Server) Submit(req SubmitRequest) (*Job, error) {
 		return nil, errShuttingDown
 	}
 	j := s.reg.add(s.ctx, req, s.now())
-	j.shard = sel
-	j.groups = groups
-	j.total = len(keys)
-	s.stats.addJob(keys)
+	j.plan = p
+	j.total = s.stats.addJob(p.Groups)
 	s.jobs.Add(1)
 	s.closeMu.Unlock()
-	go s.runJob(j, kind)
+	go s.runJob(j, p)
 	return j, nil
 }
 
-// runJob is one job's runner: feed the job's tasks to the shared
-// scheduler, wait for them, then assemble the report warm from the
-// store and finish.
-func (s *Server) runJob(j *Job, kind jobKind) {
+// runJob is one job's runner: feed the plan's tasks to the shared
+// scheduler, wait until every unit has resolved into its slot, then
+// assemble the report from the slots and finish.
+func (s *Server) runJob(j *Job, plan *experiment.Plan) {
 	defer s.jobs.Done()
 	j.setState(StateRunning, s.now(), "")
 
 	var wg sync.WaitGroup
 feed:
-	for _, g := range j.groups {
+	for _, g := range plan.Groups {
 		wg.Add(1)
 		select {
 		case s.sched.tasks <- task{job: j, wg: &wg, units: g}:
@@ -251,23 +193,18 @@ feed:
 		j.setState(StateCanceled, s.now(), "")
 		return
 	}
-	// Assemble the report by running the ordinary engine runner against
-	// the now-warm shared store — the exact bytes the matching CLI would
-	// emit for the same spec, which is what makes served results
-	// comparable (and committed-golden-testable) against cold
-	// single-process runs. The store serves every cell the scheduler
-	// filled in; anything missing (a failed write-back) re-executes
-	// here, so the report is always complete.
+	// The kind runner's own assembly: the exact bytes the matching CLI
+	// emits for the spec, so served results compare (and golden-test)
+	// against cold single-process runs.
 	var body bytes.Buffer
-	switch err := kind.report(s, j, &body); {
-	case err == nil:
-		j.setResult(body.Bytes())
-		j.setState(StateDone, s.now(), "")
-	case j.ctx.Err() != nil:
-		j.setState(StateCanceled, s.now(), "")
-	default:
+	if err := plan.WriteReport(&body); err != nil {
 		j.setState(StateFailed, s.now(), err.Error())
+		return
 	}
+	j.mu.Lock()
+	j.result = body.Bytes()
+	j.mu.Unlock()
+	j.setState(StateDone, s.now(), "")
 }
 
 // ---- HTTP handlers ----

@@ -17,34 +17,35 @@ type flightGroup struct {
 	inflight map[store.Key]*flightCall
 }
 
-// flightCall is one in-flight key: waiters block on done; err is the
-// owner's execution error, readable after done closes.
+// flightCall is one in-flight key: waiters block on done; result and
+// err are the owner's, readable after done closes.
 type flightCall struct {
-	done chan struct{}
-	err  error
+	done   chan struct{}
+	result any
+	err    error
 }
 
 func newFlightGroup() *flightGroup {
 	return &flightGroup{inflight: make(map[store.Key]*flightCall)}
 }
 
-// Do resolves one cell under the dedup discipline. cached reports
-// whether the store already holds the key; exec executes the cell and
-// writes it back. Exactly one of three things happens, reported by the
-// returned source: the caller joined another job's in-flight execution
-// (SourceJoined), the store served it (SourceStore), or this caller
-// executed it (SourceExecuted).
+// Do resolves one cell under the dedup discipline. Exactly one caller
+// per flight runs resolve, which serves the cell from the store or
+// executes it and writes it back, returning its source (SourceStore or
+// SourceExecuted), a copy of its result, and its execution error; every
+// concurrent caller of the key receives those as SourceJoined.
 //
 // Ordering is the invariant's proof obligation: a key's flight is
-// removed from the in-flight map only after exec's write-back returned,
-// so any later Do either joins the live flight or sees the store hit —
-// a second execution of the same key requires a failed write-back.
-func (g *flightGroup) Do(k store.Key, cached func() bool, exec func() error) (source string, err error) {
+// removed from the in-flight map only after resolve's write-back
+// returned, so any later Do either joins the live flight or sees the
+// store hit — a second execution of the same key requires a failed
+// write-back.
+func (g *flightGroup) Do(k store.Key, resolve func() (source string, result any, err error)) (source string, result any, err error) {
 	g.mu.Lock()
 	if c, ok := g.inflight[k]; ok {
 		g.mu.Unlock()
 		<-c.done
-		return SourceJoined, c.err
+		return SourceJoined, c.result, c.err
 	}
 	c := &flightCall{done: make(chan struct{})}
 	g.inflight[k] = c
@@ -57,9 +58,6 @@ func (g *flightGroup) Do(k store.Key, cached func() bool, exec func() error) (so
 		close(c.done)
 	}()
 
-	if cached() {
-		return SourceStore, nil
-	}
-	c.err = exec()
-	return SourceExecuted, c.err
+	source, c.result, c.err = resolve()
+	return source, c.result, c.err
 }

@@ -10,16 +10,16 @@ import (
 
 // syncStore wraps the server's shared CellStore in the
 // concurrent-reader / single-writer discipline the service needs: any
-// number of jobs may probe concurrently (warm serving and assembly are
-// read-bound), writers are serialised against each other and against
-// readers, and Close is serialised against everything — after Close,
-// reads are misses and writes fail instead of racing a closed backend.
+// number of jobs may probe concurrently (warm serving is read-bound),
+// writers are serialised against each other and against readers, and
+// Close is serialised against everything — after Close, reads are
+// misses and writes fail instead of racing a closed backend.
 //
 // Both store backends are individually goroutine-safe; the wrapper adds
 // what they do not promise: a close barrier shared by many jobs, and a
 // single writer at a time so the packed backend's append path is never
-// interleaved by tenant load. It implements store.CellStore, so the
-// engine's runners use the wrapped store directly at assembly time.
+// interleaved by tenant load. It implements store.MatrixStore, the part
+// of the store the engine's units read and write.
 type syncStore struct {
 	mu     sync.RWMutex
 	closed bool
@@ -27,12 +27,6 @@ type syncStore struct {
 }
 
 func newSyncStore(st store.CellStore) *syncStore { return &syncStore{st: st} }
-
-func (s *syncStore) Dir() string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.st.Dir()
-}
 
 // errStoreClosed fails a write to the store after Close.
 var errStoreClosed = errors.New("serve: store is closed")
@@ -79,43 +73,6 @@ func (s *syncStore) GetConform(k store.Key) (store.ConformV1, bool) {
 }
 func (s *syncStore) PutConform(k store.Key, c store.ConformV1) error {
 	return put(s, k, c, store.CellStore.PutConform)
-}
-
-func (s *syncStore) GetDiscover(k store.Key) (store.DiscoverV1, bool) {
-	return get(s, k, store.CellStore.GetDiscover)
-}
-func (s *syncStore) PutDiscover(k store.Key, d store.DiscoverV1) error {
-	return put(s, k, d, store.CellStore.PutDiscover)
-}
-
-func (s *syncStore) Keys() ([]store.Key, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed {
-		return nil, errStoreClosed
-	}
-	return s.st.Keys()
-}
-
-func (s *syncStore) Len() (int, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed {
-		return 0, errStoreClosed
-	}
-	return s.st.Len()
-}
-
-// MergeFrom folds a source store in under the writer lock —
-// merge-on-complete: a finished shard store (or another server's store)
-// merges atomically with respect to every concurrent reader.
-func (s *syncStore) MergeFrom(src string) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return 0, errStoreClosed
-	}
-	return s.st.MergeFrom(src)
 }
 
 func (s *syncStore) Close() error {
