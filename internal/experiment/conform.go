@@ -176,7 +176,7 @@ func (s ConformanceSpec) Cells() ([]ConformanceCell, error) { return s.cells(mat
 // cells is Cells, refusing more than maxCells cells before allocating.
 func (s ConformanceSpec) cells(maxCells int) ([]ConformanceCell, error) {
 	spec := s.normalized()
-	n, err := boundCells(maxCells, len(spec.Models), len(spec.Seeds), spec.Pairs, len(spec.Ablations))
+	n, err := boundCells("conformance", maxCells, len(spec.Models), len(spec.Seeds), spec.Pairs, len(spec.Ablations))
 	if err != nil {
 		return nil, err
 	}
@@ -214,9 +214,6 @@ func (s ConformanceSpec) cells(maxCells int) ([]ConformanceCell, error) {
 				}
 			}
 		}
-	}
-	if len(cells) == 0 {
-		return nil, fmt.Errorf("experiment: empty conformance matrix")
 	}
 	return cells, nil
 }

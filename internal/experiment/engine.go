@@ -391,11 +391,11 @@ func (k *matrixKind[C, R]) plan(cells []C, sh ShardSel) ([]R, [][]Unit, error) {
 // PlanSweep plans one shard of a sweep — its attack cells, then one
 // group per T1 proof cell when the spec requests proofs and the shard
 // carries them: Run's exact cells and report under the same shard. An
-// attack matrix of more than maxCells cells is refused before it is
+// attack matrix of more than MaxPlanCells cells is refused before it is
 // expanded; the T1 matrix is a fixed handful of cells.
-func PlanSweep(s Spec, sh ShardSel, maxCells int) (*Plan, error) {
+func PlanSweep(s Spec, sh ShardSel) (*Plan, error) {
 	s = s.normalized()
-	cells, err := s.cells(maxCells)
+	cells, err := s.cells(MaxPlanCells)
 	if err != nil {
 		return nil, err
 	}
@@ -422,9 +422,9 @@ func PlanSweep(s Spec, sh ShardSel, maxCells int) (*Plan, error) {
 
 // PlanProofs plans one shard of a proof matrix: RunProofMatrix's exact
 // cells and report under the same shard, bounded like PlanSweep.
-func PlanProofs(s ProofSpec, sh ShardSel, maxCells int) (*Plan, error) {
+func PlanProofs(s ProofSpec, sh ShardSel) (*Plan, error) {
 	s = s.normalized()
-	cells, err := s.cells(maxCells)
+	cells, err := s.cells(MaxPlanCells)
 	if err != nil {
 		return nil, err
 	}
@@ -439,9 +439,9 @@ func PlanProofs(s ProofSpec, sh ShardSel, maxCells int) (*Plan, error) {
 
 // PlanConformance plans one shard of a conformance matrix:
 // RunConformance's exact cells and report, bounded like PlanSweep.
-func PlanConformance(s ConformanceSpec, sh ShardSel, maxCells int) (*Plan, error) {
+func PlanConformance(s ConformanceSpec, sh ShardSel) (*Plan, error) {
 	s = s.normalized()
-	cells, err := s.cells(maxCells)
+	cells, err := s.cells(MaxPlanCells)
 	if err != nil {
 		return nil, err
 	}

@@ -217,12 +217,21 @@ func (s Spec) cells(maxCells int) ([]Cell, error) {
 	n := 0
 	for _, sc := range scens {
 		for _, v := range sc.Variants {
-			if varFilter == nil || varFilter[v.Label] {
-				n++
+			if varFilter != nil {
+				if !varFilter[v.Label] {
+					continue
+				}
+				matched[v.Label] = true
 			}
+			n++
 		}
 	}
-	n, err = boundCells(maxCells, n, len(spec.Seeds), spec.Trials)
+	for _, v := range spec.Variants {
+		if !matched[v] {
+			return nil, fmt.Errorf("experiment: variant filter %q matches no variant of the selected scenarios", v)
+		}
+	}
+	n, err = boundCells("sweep", maxCells, n, len(spec.Seeds), spec.Trials)
 	if err != nil {
 		return nil, err
 	}
@@ -232,11 +241,8 @@ func (s Spec) cells(maxCells int) ([]Cell, error) {
 		for _, base := range spec.Seeds {
 			for trial := 0; trial < spec.Trials; trial++ {
 				for _, v := range sc.Variants {
-					if varFilter != nil {
-						if !varFilter[v.Label] {
-							continue
-						}
-						matched[v.Label] = true
+					if varFilter != nil && !varFilter[v.Label] {
+						continue
 					}
 					c := Cell{
 						Index:        len(cells),
@@ -260,27 +266,28 @@ func (s Spec) cells(maxCells int) ([]Cell, error) {
 			}
 		}
 	}
-	for v := range varFilter {
-		if !matched[v] {
-			return nil, fmt.Errorf("experiment: variant filter %q matches no variant of the selected scenarios", v)
-		}
-	}
-	if len(cells) == 0 {
-		return nil, fmt.Errorf("experiment: empty sweep matrix")
-	}
 	return cells, nil
 }
 
-// boundCells counts a matrix from its non-negative dimensions before it
-// is expanded, refusing it when it exceeds maxCells. The product never
-// overflows: it is checked against maxCells factor by factor.
-func boundCells(maxCells int, dims ...int) (int, error) {
+// MaxPlanCells bounds the (unsharded) matrix of every plan, counted
+// before the spec is expanded, so a small spec cannot make a planner
+// allocate without limit. The in-process runners are not bounded.
+const MaxPlanCells = 20000
+
+// boundCells counts a matrix of the named kind from its dimensions before
+// it is expanded, refusing an empty one (a zero factor must not leave the
+// other loops to spin) and one over maxCells. The product is checked
+// against maxCells factor by factor, so it never overflows.
+func boundCells(kind string, maxCells int, dims ...int) (int, error) {
 	n := 1
 	for _, d := range dims {
 		if d != 0 && n > maxCells/d {
 			return 0, fmt.Errorf("experiment: matrix exceeds %d cells", maxCells)
 		}
 		n *= d
+	}
+	if n == 0 {
+		return 0, fmt.Errorf("experiment: empty %s matrix", kind)
 	}
 	return n, nil
 }

@@ -205,7 +205,7 @@ func (s ProofSpec) Cells() ([]ProofCell, error) { return s.cells(math.MaxInt) }
 // cells is Cells, refusing more than maxCells cells before allocating.
 func (s ProofSpec) cells(maxCells int) ([]ProofCell, error) {
 	spec := s.normalized()
-	n, err := boundCells(maxCells, len(spec.Models), len(spec.Families), len(spec.Seeds), len(spec.Ablations))
+	n, err := boundCells("proof", maxCells, len(spec.Models), len(spec.Families), len(spec.Seeds), len(spec.Ablations))
 	if err != nil {
 		return nil, err
 	}
@@ -238,9 +238,6 @@ func (s ProofSpec) cells(maxCells int) ([]ProofCell, error) {
 				}
 			}
 		}
-	}
-	if len(cells) == 0 {
-		return nil, fmt.Errorf("experiment: empty proof matrix")
 	}
 	return cells, nil
 }

@@ -31,6 +31,9 @@ func TestOversizedMatrixRefusedBeforeExpansion(t *testing.T) {
 		// 3×MaxJobCells cells, tens of MB.
 		{"sweep trials", SubmitRequest{Kind: KindSweep, Sweep: &experiment.Spec{Scenarios: []string{"T2"}, Trials: MaxJobCells}}},
 		{"sweep trials overflow", SubmitRequest{Kind: KindSweep, Sweep: &experiment.Spec{Seeds: []uint64{1, 2, 3, 4}, Trials: math.MaxInt/2 + 1, Proofs: true}}},
+		// A filter matching no variant counts zero cells, which no bound
+		// refuses: it must fail before the trial loop, not after it.
+		{"sweep unmatched variant", SubmitRequest{Kind: KindSweep, Sweep: &experiment.Spec{Scenarios: []string{"T2"}, Variants: []string{"x"}, Trials: math.MaxInt}}},
 		{"proof seeds", SubmitRequest{Kind: KindProof, Proof: &experiment.ProofSpec{Seeds: make([]uint64, MaxJobCells/7+1)}}},
 		{"conform pairs", SubmitRequest{Kind: KindConform, Conform: &experiment.ConformanceSpec{Pairs: MaxJobCells}}},
 		{"conform pairs overflow", SubmitRequest{Kind: KindConform, Conform: &experiment.ConformanceSpec{Pairs: math.MaxInt}}},
@@ -54,9 +57,11 @@ func TestOversizedMatrixRefusedBeforeExpansion(t *testing.T) {
 	}
 }
 
-// TestFinishedJobKeepsNoPlan: a job releases its plan — every unit and
-// result slot — once it is terminal, so the registry, which keeps every
-// job for the server's life, does not pin them.
+// TestFinishedJobKeepsNoPlan: once a job is terminal and its runner has
+// returned, nothing the server keeps — the registry holds every job for
+// the server's life — reaches the job's plan or its units and result
+// slots, so they are collected. A failed job leaves the runner by the
+// same return as a done one.
 func TestFinishedJobKeepsNoPlan(t *testing.T) {
 	st, err := store.Open(t.TempDir())
 	if err != nil {
@@ -64,39 +69,43 @@ func TestFinishedJobKeepsNoPlan(t *testing.T) {
 	}
 	srv := New(st, Config{Workers: 1})
 	defer srv.Close()
-	released := func(j *Job) bool {
-		j.mu.Lock()
-		defer j.mu.Unlock()
-		return j.plan == nil
-	}
 
-	small := experiment.Spec{Scenarios: []string{"T4"}, Rounds: 20, Seeds: []uint64{11}}
-	done, err := srv.Submit(SubmitRequest{Kind: KindSweep, Sweep: &small})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := waitTerminal(done); st.State != StateDone || !released(done) {
-		t.Fatalf("done job: state %s, plan released %v", st.State, released(done))
-	}
-
-	big := experiment.Spec{Scenarios: []string{"T2"}, Rounds: 60, Seeds: []uint64{1, 2, 3, 4, 5, 6, 7, 8}}
-	canceled, err := srv.Submit(SubmitRequest{Kind: KindSweep, Sweep: &big})
-	if err != nil {
-		t.Fatal(err)
-	}
-	canceled.cancel()
-	if st := waitTerminal(canceled); st.State != StateCanceled || !released(canceled) {
-		t.Fatalf("canceled job: state %s, plan released %v", st.State, released(canceled))
-	}
-
-	// A report that cannot be assembled fails the job; the runner's
-	// only failure transition must release the plan too.
-	failed := srv.reg.add(srv.ctx, SubmitRequest{Kind: KindSweep, Sweep: &small}, time.Now())
-	if failed.plan, err = experiment.PlanSweep(small, experiment.ShardSel{}, MaxJobCells); err != nil {
-		t.Fatal(err)
-	}
-	failed.setState(StateFailed, time.Now(), "assembly failed")
-	if st := failed.status(); st.State != StateFailed || !released(failed) {
-		t.Fatalf("failed job: state %s, plan released %v", st.State, released(failed))
+	for _, tc := range []struct {
+		want   string
+		spec   experiment.Spec
+		cancel bool
+	}{
+		{StateDone, experiment.Spec{Scenarios: []string{"T4"}, Rounds: 20, Seeds: []uint64{11}}, false},
+		{StateCanceled, experiment.Spec{Scenarios: []string{"T2"}, Rounds: 60, Seeds: []uint64{1, 2, 3, 4, 5, 6, 7, 8}}, true},
+	} {
+		p, err := experiment.PlanSweep(tc.spec, experiment.ShardSel{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The plan, and the slot array its first unit points into.
+		freed := make(chan struct{}, 2)
+		runtime.SetFinalizer(p, func(*experiment.Plan) { freed <- struct{}{} })
+		runtime.SetFinalizer(p.Groups[0][0], func(any) { freed <- struct{}{} })
+		j, err := srv.start(SubmitRequest{Kind: KindSweep, Sweep: &tc.spec}, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p = nil
+		if tc.cancel {
+			j.cancel()
+		}
+		if st := waitTerminal(j); st.State != tc.want {
+			t.Fatalf("job state %s, want %s", st.State, tc.want)
+		}
+		srv.jobs.Wait()
+		for n := 0; n < 2; {
+			runtime.GC()
+			select {
+			case <-freed:
+				n++
+			case <-time.After(time.Second):
+				t.Fatalf("%s job: plan still reachable after its runner returned", tc.want)
+			}
+		}
 	}
 }

@@ -5,13 +5,12 @@ import (
 	"fmt"
 	"sync"
 	"time"
-
-	"timeprot/internal/experiment"
 )
 
 // Job is one accepted submission: its normalised request, its cell
-// matrix (expanded and sharded at submit time, so a bad spec is a 400,
-// never a failed job), its progress accounting, and its event history.
+// count (the matrix is expanded and sharded at submit time, so a bad
+// spec is a 400, never a failed job), its progress accounting, and its
+// event history.
 // The history is append-only and every append wakes the stream
 // followers, so a stream started at any point replays the full history
 // and then follows live.
@@ -25,9 +24,8 @@ type Job struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	// plan is the job's units and result slots, released once the job
-	// is terminal; total counts its cells.
-	plan  *experiment.Plan
+	// total counts the job's cells. The job holds none of its units or
+	// result slots: only its runner does, so they are freed with it.
 	total int
 
 	mu       sync.Mutex
@@ -71,7 +69,6 @@ func (j *Job) setState(state string, now time.Time, errMsg string) {
 		j.started = now
 	case StateDone, StateFailed, StateCanceled:
 		j.finished = now
-		j.plan = nil // no unit or slot is read once the job is terminal
 	}
 	if errMsg != "" {
 		j.errMsg = errMsg

@@ -112,21 +112,20 @@ func (s *Server) Close() error {
 func (req SubmitRequest) plan(sh experiment.ShardSel) (*experiment.Plan, error) {
 	switch {
 	case req.Kind == KindSweep && req.Sweep != nil:
-		return experiment.PlanSweep(*req.Sweep, sh, MaxJobCells)
+		return experiment.PlanSweep(*req.Sweep, sh)
 	case req.Kind == KindProof && req.Proof != nil:
-		return experiment.PlanProofs(*req.Proof, sh, MaxJobCells)
+		return experiment.PlanProofs(*req.Proof, sh)
 	case req.Kind == KindConform && req.Conform != nil:
-		return experiment.PlanConformance(*req.Conform, sh, MaxJobCells)
+		return experiment.PlanConformance(*req.Conform, sh)
 	case req.Kind == KindSweep || req.Kind == KindProof || req.Kind == KindConform:
 		return nil, fmt.Errorf("kind %q needs the %s spec", req.Kind, req.Kind)
 	}
 	return nil, fmt.Errorf("unknown kind %q (want %s, %s, or %s)", req.Kind, KindSweep, KindProof, KindConform)
 }
 
-// MaxJobCells bounds a job's (unsharded) matrix, counted before the
-// spec is expanded, so a small request cannot make the server allocate
-// without limit. Every matrix the docs and tests submit is far below it.
-const MaxJobCells = 20000
+// MaxJobCells bounds a job's (unsharded) matrix: the planners' own
+// bound, far above every matrix the docs and tests submit.
+const MaxJobCells = experiment.MaxPlanCells
 
 // errShuttingDown refuses a submission to a closing server (a 503).
 var errShuttingDown = errors.New("server is shutting down")
@@ -154,14 +153,18 @@ func (s *Server) Submit(req SubmitRequest) (*Job, error) {
 	if err != nil {
 		return nil, err
 	}
+	return s.start(req, p)
+}
 
+// start registers an accepted request and schedules its plan. Only the
+// job's runner holds the plan, so it is freed when the runner returns.
+func (s *Server) start(req SubmitRequest, p *experiment.Plan) (*Job, error) {
 	s.closeMu.Lock()
 	if s.closed {
 		s.closeMu.Unlock()
 		return nil, errShuttingDown
 	}
 	j := s.reg.add(s.ctx, req, s.now())
-	j.plan = p
 	j.total = s.stats.addJob(p.Groups)
 	s.jobs.Add(1)
 	s.closeMu.Unlock()
